@@ -26,13 +26,13 @@ from .errors import (BadArity, BinMismatch, CtdError, DuplicatePort,
 from .harness import (RunArtifacts, VariantComparison, VariationMetrics,
                       compare_variants, emit_outputs, pdd_exclusivity_ok,
                       potential_variation, run_scenario, seizure_damped)
-from .scenario import (Scenario, SensorConfig, default_fan_config,
-                       emit_scenario, parse_scenario)
+from .scenario import Scenario, emit_scenario, parse_scenario
 from .suite import canonical_scenario, mirror_scenario, scripted_suite, write_suite
 from .version import __version__
 from .world import (Approach, Encoding, Pose, Recede, SensorSpec, SpikeTrain,
                     Tangent, Trajectory, Waypoints, agent_position,
-                    default_sensor_fan, encode_spikes, mirror_trajectory,
-                    rate_from_distance, sense_scenario, sensor_distance)
+                    default_fan_config, encode_spikes, mirror_sensors,
+                    mirror_trajectory, rate_from_distance, sense_scenario,
+                    sensor_distance)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -43,7 +43,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     out = Path(args.out)
     emit_outputs(comparison.ddm, out / "ddm")
     emit_outputs(comparison.weights, out / "weights")
-    md, mw = comparison.metrics_ddm, comparison.metrics_weights
+    md, mw = comparison.ddm.metrics, comparison.weights.metrics
     report = {
         "scenario": scenario.name,
         "ddm": dataclasses.asdict(md),
@@ -68,6 +68,7 @@ def _cmd_suite(args: argparse.Namespace) -> int:
     out = Path(args.out)
     all_ok = True
     results = {}
+    calibration = {}
     for path in files:
         scenario = _load(path, args.seed)
         comparison = compare_variants(scenario)
@@ -80,16 +81,27 @@ def _cmd_suite(args: argparse.Namespace) -> int:
         ok = all(checks.values())
         all_ok = all_ok and ok
         results[scenario.name] = checks
+        calibration[scenario.name] = {
+            "agree_windows": sum(r.depth is c for r, c in
+                                 zip(artifacts.readouts, artifacts.correlation_depths)),
+            "windows": len(artifacts.readouts),
+            "ddm": dataclasses.asdict(comparison.ddm.metrics),
+            "weights": dataclasses.asdict(comparison.weights.metrics),
+        }
         print(f"[{'PASS' if ok else 'FAIL'}] {_summary_line(artifacts)}")
         if not ok:
             for name, passed in checks.items():
                 if not passed:
                     print(f"       failed: {name}")
+    agree = sum(c["agree_windows"] for c in calibration.values())
+    windows = sum(c["windows"] for c in calibration.values())
     out.mkdir(parents=True, exist_ok=True)
-    (out / "suite_summary.json").write_text(
-        json.dumps({"all_passed": all_ok, "results": results},
-                   indent=2, sort_keys=True) + "\n")
-    print(f"suite: {sum(all(c.values()) for c in results.values())}/{len(results)} passed")
+    (out / "suite_summary.json").write_text(json.dumps(
+        {"all_passed": all_ok, "results": results,
+         "calibration": {"agreement": agree / windows, "scenarios": calibration}},
+        indent=2, sort_keys=True) + "\n")
+    print(f"suite: {sum(all(c.values()) for c in results.values())}/{len(results)} passed; "
+          f"circuit/correlation agreement {agree}/{windows} ({100.0 * agree / windows:.1f}%)")
     return 0 if all_ok else 1
 
 

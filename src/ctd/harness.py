@@ -144,14 +144,9 @@ def _correlation_depths(trace: Trace, handles: CtdHandles, scenario: Scenario,
         if pair is None:
             depths.append(DepthState.M)
             continue
-        left_id, right_id = pair
-        t0, t1 = r.window
-        left = SpikeTrain(tuple(t - t0 for t in trace.spikes[left_id]
-                                if t0 <= t < t1))
-        right = SpikeTrain(tuple(t - t0 for t in trace.spikes[right_id]
-                                 if t0 <= t < t1))
+        left, right = (SpikeTrain(trace.spikes[nid]).window(*r.window) for nid in pair)
         depths.append(classify_by_correlation(left, right, r.direction, params,
-                                              duration_ms=t1 - t0))
+                                              duration_ms=r.window[1] - r.window[0]))
     return depths
 
 
@@ -187,12 +182,14 @@ def _run_with_trains(scenario: Scenario, variant: str,
                         provenance=provenance)
 
 
+def _sense(scenario: Scenario) -> list[SpikeTrain]:
+    return sense_scenario(scenario.pose(), scenario.sensors, scenario.trajectory,
+                          scenario.dt_ms, scenario.encoding, scenario.seed)
+
+
 def run_scenario(scenario: Scenario) -> RunArtifacts:
     """Full pipeline for one scenario with its own circuit variant."""
-    trains = sense_scenario(scenario.pose(), scenario.sensor_specs(),
-                            scenario.trajectory, scenario.dt_ms,
-                            scenario.encoding, scenario.seed)
-    return _run_with_trains(scenario, scenario.variant, trains)
+    return _run_with_trains(scenario, scenario.variant, _sense(scenario))
 
 
 @dataclass(frozen=True)
@@ -203,21 +200,11 @@ class VariantComparison:
     weights: RunArtifacts
     orderings: dict[str, bool]
 
-    @property
-    def metrics_ddm(self) -> VariationMetrics:
-        return self.ddm.metrics
-
-    @property
-    def metrics_weights(self) -> VariationMetrics:
-        return self.weights.metrics
-
 
 def compare_variants(scenario: Scenario) -> VariantComparison:
     """Run ddm and weights depth layers on the same spike trains and compare
     their potential-variation metrics."""
-    trains = sense_scenario(scenario.pose(), scenario.sensor_specs(),
-                            scenario.trajectory, scenario.dt_ms,
-                            scenario.encoding, scenario.seed)
+    trains = _sense(scenario)
     ddm = _run_with_trains(scenario, "ddm", trains)
     weights = _run_with_trains(scenario, "weights", trains)
     md, mw = ddm.metrics, weights.metrics

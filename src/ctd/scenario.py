@@ -1,7 +1,9 @@
 """Scenario files: a single JSON document describing one experiment.
 
-Angles are degrees in the file and radians inside the simulator; every other
-quantity passes through unchanged, so parse -> emit -> parse is lossless.
+Every quantity keeps the file's units, angles in degrees included; sensors and
+the robot pose derive radians where sensing needs them, so parse -> emit ->
+parse is lossless. All invariants are checked where the values are held:
+sensor fields in SensorSpec, the rest in Scenario.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from .circuits import CtdParams, DepthState, Direction
 from .correlation import CorrelationParams
 from .errors import ParseError, UnknownKey, ValidationError
 from .world import (Approach, Encoding, Pose, Recede, SensorSpec, Tangent,
-                    Trajectory, Waypoints)
+                    Trajectory, Waypoints, default_fan_config)
 
 _TOP_KEYS = {"name", "time", "seed", "encoding", "robot", "sensors",
              "trajectory", "circuit", "overrides", "expect"}
@@ -26,24 +28,16 @@ _CORR_KEYS = {"corr_" + f.name for f in dataclasses.fields(CorrelationParams)}
 OVERRIDE_KEYS = _CTD_KEYS | _CORR_KEYS
 
 _INT_OVERRIDES = {"theta_active", "corr_lag_bins"}
-
-
-@dataclass(frozen=True)
-class SensorConfig:
-    mount_deg: float
-    cone_half_deg: float = 15.0
-    range_m: float = 2.0
-    r_max_hz: float = 200.0
-
-    def spec(self) -> SensorSpec:
-        return SensorSpec(mount_angle=math.radians(self.mount_deg),
-                          cone_half_angle=math.radians(self.cone_half_deg),
-                          range=self.range_m, r_max=self.r_max_hz)
-
-
-def default_fan_config(n: int = 6) -> tuple[SensorConfig, ...]:
-    first = -15.0 * (n - 1)
-    return tuple(SensorConfig(mount_deg=first + 30.0 * i) for i in range(n))
+_POSITIVE_OVERRIDES = ({k for k in _CTD_KEYS if k.endswith("_tau")}
+                       | {"window_ms", "stride_ms", "corr_bin_width_ms"})
+# Synapse weights are magnitudes; the connection kind carries the sign.
+_NONNEGATIVE_OVERRIDES = ({k for k in _CTD_KEYS if k.startswith("w_") or "_w_" in k}
+                          | {"refractory", "corr_lag_bins"})
+_SENSOR_KEYS = {f.name for f in dataclasses.fields(SensorSpec) if f.init}
+# Tuples, not sets: membership must not hash values read from a file.
+_EXPECT_VALUES = {"depth": tuple(d.value for d in DepthState),
+                  "direction": (Direction.LEFT_TO_RIGHT.value,
+                                Direction.RIGHT_TO_LEFT.value)}
 
 
 def _bearing_point(bearing_deg: float, distance: float) -> tuple[float, float]:
@@ -86,10 +80,6 @@ def canonical_trajectory(kind: str, duration_ms: float, speed: float = 0.5,
     raise ValidationError(f"trajectory kind {kind!r} has no defaults")
 
 
-def _default_trajectory(kind: str, duration_ms: float) -> Trajectory:
-    return canonical_trajectory(kind, duration_ms)
-
-
 @dataclass(frozen=True)
 class Scenario:
     """Everything one run needs; unspecified fields take module defaults."""
@@ -102,47 +92,69 @@ class Scenario:
     robot_x: float = 0.0
     robot_y: float = 0.0
     robot_heading_deg: float = 90.0
-    sensors: tuple[SensorConfig, ...] = field(default_factory=default_fan_config)
+    sensors: tuple[SensorSpec, ...] = field(default_factory=default_fan_config)
     trajectory: Trajectory = field(
-        default_factory=lambda: _default_trajectory("approach", 5000.0))
+        default_factory=lambda: canonical_trajectory("approach", 5000.0))
     variant: str = "ddm"
     overrides: dict[str, float] = field(default_factory=dict)
     expect: dict[str, str] | None = None
 
     def __post_init__(self) -> None:
-        if self.duration_ms <= 0 or self.dt_ms <= 0:
-            raise ValidationError("duration and dt must be positive")
+        for key, value in (("time.dt_ms", self.dt_ms),
+                           ("time.duration_ms", self.duration_ms)):
+            if not 0.0 < value < math.inf:
+                raise ValidationError(f"{key} must be positive and finite, got {value!r}")
+        steps = self.duration_ms / self.dt_ms
+        if steps == math.inf or abs(round(steps) * self.dt_ms - self.duration_ms) > 1e-9:
+            raise ValidationError(f"time.dt_ms {self.dt_ms!r} must divide "
+                                  f"time.duration_ms {self.duration_ms!r}")
         if len(self.sensors) == 0 or len(self.sensors) % 3 != 0:
             raise ValidationError(
                 f"sensor count {len(self.sensors)} must be divisible by 3")
+        for key, value in (self.expect or {}).items():
+            if key not in _EXPECT_VALUES:
+                raise UnknownKey(f"expect: unknown key {key!r}")
+            if value not in _EXPECT_VALUES[key]:
+                raise ValidationError(f"expect.{key} {value!r} invalid")
         if self.variant not in ("ddm", "weights"):
             raise ValidationError(f"unknown circuit variant {self.variant!r}")
         if abs(self.trajectory.duration_ms - self.duration_ms) > 1e-9:
             raise ValidationError("trajectory duration must match scenario duration")
-        for key in self.overrides:
+        for key, value in self.overrides.items():
             if key not in OVERRIDE_KEYS:
                 raise UnknownKey(f"override {key!r}")
+            problem = ("finite" if not math.isfinite(value)
+                       else "an integer" if key in _INT_OVERRIDES and value != int(value)
+                       else "positive" if key in _POSITIVE_OVERRIDES and value <= 0
+                       else "nonnegative" if key in _NONNEGATIVE_OVERRIDES and value < 0
+                       else None)
+            if problem:
+                raise ValidationError(f"overrides.{key} must be {problem}, got {value!r}")
+        params = self.ctd_params()
+        if params.window_ms > self.duration_ms:
+            raise ValidationError(
+                f"time.duration_ms {self.duration_ms!r} is shorter than one "
+                f"readout window of {params.window_ms!r} ms")
+        try:
+            for neuron in (params.detector_neuron, params.regulatory_neuron,
+                           params.assessing_neuron, params.judge_neuron):
+                neuron()
+        except ValueError as exc:
+            raise ValidationError(f"overrides give an invalid neuron: {exc}") from None
 
     def pose(self) -> Pose:
         return Pose(self.robot_x, self.robot_y, math.radians(self.robot_heading_deg))
 
-    def sensor_specs(self) -> tuple[SensorSpec, ...]:
-        return tuple(s.spec() for s in self.sensors)
-
     def ctd_params(self) -> CtdParams:
-        kwargs: dict[str, Any] = {}
-        for key, value in self.overrides.items():
-            if key in _CTD_KEYS:
-                kwargs[key] = int(value) if key in _INT_OVERRIDES else float(value)
-        return dataclasses.replace(CtdParams(), **kwargs)
+        return self._params(CtdParams(), _CTD_KEYS, "")
 
     def correlation_params(self) -> CorrelationParams:
-        kwargs: dict[str, Any] = {}
-        for key, value in self.overrides.items():
-            if key in _CORR_KEYS:
-                name = key[len("corr_"):]
-                kwargs[name] = int(value) if key in _INT_OVERRIDES else float(value)
-        return dataclasses.replace(CorrelationParams(), **kwargs)
+        return self._params(CorrelationParams(), _CORR_KEYS, "corr_")
+
+    def _params(self, defaults: Any, keys: set[str], prefix: str) -> Any:
+        return dataclasses.replace(defaults, **{
+            key[len(prefix):]: int(value) if key in _INT_OVERRIDES else float(value)
+            for key, value in self.overrides.items() if key in keys})
 
 
 # --------------------------------------------------------------------------
@@ -175,10 +187,11 @@ def _parse_trajectory(obj: Any, duration_ms: float) -> Trajectory:
     kind = obj.get("kind")
     if kind in ("approach", "recede"):
         _require_keys(obj, {"kind", "from", "to", "speed_mps"}, "trajectory")
-        default = _default_trajectory(kind, duration_ms)
+        default = canonical_trajectory(kind, duration_ms)
         speed = _number(obj, "speed_mps", default.speed_mps, "trajectory")
-        if speed <= 0 or not math.isfinite(speed):
-            raise ValidationError("trajectory speed must be positive and finite")
+        if not 0.0 < speed < math.inf:
+            raise ValidationError(
+                f"trajectory.speed_mps must be positive and finite, got {speed!r}")
         travel = speed * duration_ms / 1000.0
         if kind == "approach":
             goal = _point(obj["to"], "trajectory.to") if "to" in obj else default.goal
@@ -187,14 +200,14 @@ def _parse_trajectory(obj: Any, duration_ms: float) -> Trajectory:
             return Approach(start=start, goal=goal, speed_mps=speed,
                             duration_ms=duration_ms)
         start = (_point(obj["from"], "trajectory.from") if "from" in obj
-                 else _default_trajectory("recede", duration_ms).start)
+                 else default.start)
         goal = (_point(obj["to"], "trajectory.to") if "to" in obj
                 else (start[0] + travel, start[1]))
         return Recede(start=start, goal=goal, speed_mps=speed, duration_ms=duration_ms)
     if kind == "tangent":
         _require_keys(obj, {"kind", "closest", "velocity_mps", "t_center_ms"},
                       "trajectory")
-        default = _default_trajectory("tangent", duration_ms)
+        default = canonical_trajectory("tangent", duration_ms)
         closest = (_point(obj["closest"], "trajectory.closest")
                    if "closest" in obj else default.closest)
         velocity = (_point(obj["velocity_mps"], "trajectory.velocity_mps")
@@ -223,7 +236,7 @@ def _parse_trajectory(obj: Any, duration_ms: float) -> Trajectory:
     raise ValidationError(f"unknown trajectory kind {kind!r}")
 
 
-def _parse_sensors(obj: Any) -> tuple[SensorConfig, ...]:
+def _parse_sensors(obj: Any) -> tuple[SensorSpec, ...]:
     if isinstance(obj, dict):
         _require_keys(obj, {"fan"}, "sensors")
         n = obj.get("fan")
@@ -232,26 +245,34 @@ def _parse_sensors(obj: Any) -> tuple[SensorConfig, ...]:
         return default_fan_config(n)
     if not isinstance(obj, list) or not obj:
         raise ValidationError("sensors must be a nonempty list or {\"fan\": n}")
-    configs = []
+    sensors = []
     for i, entry in enumerate(obj):
+        where = f"sensors[{i}]"
         if not isinstance(entry, dict):
-            raise ValidationError(f"sensors[{i}] must be an object")
-        _require_keys(entry, {"mount_deg", "cone_half_deg", "range_m", "r_max_hz"},
-                      f"sensors[{i}]")
+            raise ValidationError(f"{where} must be an object")
+        _require_keys(entry, _SENSOR_KEYS, where)
         if "mount_deg" not in entry:
-            raise ValidationError(f"sensors[{i}] is missing mount_deg")
-        configs.append(SensorConfig(
-            mount_deg=_number(entry, "mount_deg", 0.0, f"sensors[{i}]"),
-            cone_half_deg=_number(entry, "cone_half_deg", 15.0, f"sensors[{i}]"),
-            range_m=_number(entry, "range_m", 2.0, f"sensors[{i}]"),
-            r_max_hz=_number(entry, "r_max_hz", 200.0, f"sensors[{i}]")))
-    return tuple(configs)
+            raise ValidationError(f"{where} is missing mount_deg")
+        values = {key: _number(entry, key, 0.0, where) for key in entry}
+        try:
+            sensors.append(SensorSpec(**values))
+        except ValidationError as exc:
+            raise ValidationError(f"{where}.{exc}") from None
+    return tuple(sensors)
+
+
+def _parse_int(digits: str) -> int:
+    # Longer integer literals overflow float(); past 4300 digits int() itself
+    # raises a bare ValueError.
+    if len(digits.lstrip("-")) > 308:
+        raise ValidationError(f"integer literal of {len(digits)} characters is out of range")
+    return int(digits)
 
 
 def parse_scenario(text: str) -> Scenario:
     """Parse and validate one scenario document; every failure is structured."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_int=_parse_int)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, exc.lineno, exc.colno) from None
     if not isinstance(doc, dict):
@@ -290,45 +311,23 @@ def parse_scenario(text: str) -> Scenario:
     traj_obj = doc.get("trajectory", {"kind": "approach"})
     trajectory = _parse_trajectory(traj_obj, duration_ms)
 
-    variant = doc.get("circuit", "ddm")
-    if not isinstance(variant, str):
-        raise ValidationError(f"circuit must be a string, got {variant!r}")
-
     overrides_obj = doc.get("overrides", {})
     if not isinstance(overrides_obj, dict):
         raise ValidationError("overrides must be an object")
-    overrides: dict[str, float] = {}
-    for key, value in overrides_obj.items():
-        if key not in OVERRIDE_KEYS:
-            raise UnknownKey(f"override {key!r}")
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValidationError(f"override {key!r} must be a number, got {value!r}")
-        overrides[key] = float(value)
+    overrides = {key: _number(overrides_obj, key, 0.0, "overrides")
+                 for key in overrides_obj}
 
-    expect_obj = doc.get("expect")
-    expect: dict[str, str] | None = None
-    if expect_obj is not None:
-        if not isinstance(expect_obj, dict):
-            raise ValidationError("expect must be an object")
-        _require_keys(expect_obj, {"depth", "direction"}, "expect")
-        expect = {}
-        if "depth" in expect_obj:
-            if expect_obj["depth"] not in {d.value for d in DepthState}:
-                raise ValidationError(f"expect.depth {expect_obj['depth']!r} invalid")
-            expect["depth"] = expect_obj["depth"]
-        if "direction" in expect_obj:
-            valid = {Direction.LEFT_TO_RIGHT.value, Direction.RIGHT_TO_LEFT.value}
-            if expect_obj["direction"] not in valid:
-                raise ValidationError(
-                    f"expect.direction {expect_obj['direction']!r} invalid")
-            expect["direction"] = expect_obj["direction"]
+    expect = doc.get("expect")
+    if expect is not None and not isinstance(expect, dict):
+        raise ValidationError("expect must be an object")
 
     return Scenario(name=name, dt_ms=dt_ms, duration_ms=duration_ms, seed=seed,
                     encoding=encoding,
                     robot_x=_number(robot_obj, "x", 0.0, "robot"),
                     robot_y=_number(robot_obj, "y", 0.0, "robot"),
                     robot_heading_deg=_number(robot_obj, "heading_deg", 90.0, "robot"),
-                    sensors=sensors, trajectory=trajectory, variant=variant,
+                    sensors=sensors, trajectory=trajectory,
+                    variant=doc.get("circuit", "ddm"),
                     overrides=overrides, expect=expect)
 
 
@@ -358,8 +357,7 @@ def scenario_to_json(s: Scenario) -> dict[str, Any]:
         "encoding": s.encoding.value,
         "robot": {"x": s.robot_x, "y": s.robot_y,
                   "heading_deg": s.robot_heading_deg},
-        "sensors": [{"mount_deg": c.mount_deg, "cone_half_deg": c.cone_half_deg,
-                     "range_m": c.range_m, "r_max_hz": c.r_max_hz}
+        "sensors": [{key: getattr(c, key) for key in sorted(_SENSOR_KEYS)}
                     for c in s.sensors],
         "trajectory": _trajectory_to_json(s.trajectory),
         "circuit": s.variant,

@@ -8,13 +8,13 @@ makes a straight pass read M.
 
 from __future__ import annotations
 
-import math
+import dataclasses
 import sys
 from pathlib import Path
 
 from .circuits import DepthState, Direction
-from .scenario import Scenario, SensorConfig, canonical_trajectory, emit_scenario
-from .world import Pose, mirror_trajectory
+from .scenario import Scenario, canonical_trajectory, emit_scenario
+from .world import mirror_sensors, mirror_trajectory
 
 DURATION_MS = 5000.0
 
@@ -48,22 +48,15 @@ def canonical_scenario(kind: str, variant: str = "ddm") -> Scenario:
 
 def mirror_scenario(s: Scenario) -> Scenario:
     """Reflect the world about the robot heading axis; sensors stay left-to-right."""
-    pose = Pose(s.robot_x, s.robot_y, math.radians(s.robot_heading_deg))
-    mirrored_sensors = tuple(
-        SensorConfig(mount_deg=-c.mount_deg, cone_half_deg=c.cone_half_deg,
-                     range_m=c.range_m, r_max_hz=c.r_max_hz)
-        for c in reversed(s.sensors))
     expect = None
     if s.expect is not None:
         expect = dict(s.expect)
         if "direction" in expect:
             expect["direction"] = Direction(expect["direction"]).flipped().value
     name = s.name[:-4] + "-rtl" if s.name.endswith("-ltr") else s.name + "-mirror"
-    return Scenario(
-        name=name, dt_ms=s.dt_ms, duration_ms=s.duration_ms, seed=s.seed,
-        encoding=s.encoding, robot_x=s.robot_x, robot_y=s.robot_y,
-        robot_heading_deg=s.robot_heading_deg, sensors=mirrored_sensors,
-        trajectory=mirror_trajectory(pose, s.trajectory), variant=s.variant,
+    return dataclasses.replace(
+        s, name=name, sensors=mirror_sensors(s.sensors),
+        trajectory=mirror_trajectory(s.pose(), s.trajectory),
         overrides=dict(s.overrides), expect=expect)
 
 

@@ -11,11 +11,11 @@ from __future__ import annotations
 import bisect
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Sequence
 
-from .errors import NegativeDistance, OutOfRange
+from .errors import NegativeDistance, OutOfRange, ValidationError
 
 Point = tuple[float, float]
 
@@ -89,37 +89,38 @@ def _snapped_trig(angle: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class SensorSpec:
-    """One proximity neurodetector mounted on the robot body."""
+    """One proximity neurodetector mounted on the robot body.
 
-    mount_angle: float
-    cone_half_angle: float = math.radians(15.0)
-    range: float = 2.0
-    r_max: float = 200.0
+    Fields keep the scenario file's units, so parse -> emit -> parse is
+    lossless; the radian angles sensing reads are derived once, here.
+    """
+
+    mount_deg: float
+    cone_half_deg: float = 15.0
+    range_m: float = 2.0
+    r_max_hz: float = 200.0
+    mount_angle: float = field(init=False, repr=False, compare=False)
+    cone_half_angle: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.range <= 0:
-            raise ValueError("sensor range must be positive")
-        if self.r_max <= 0:
-            raise ValueError("peak rate must be positive")
-        if not (0.0 < self.cone_half_angle <= math.pi):
-            raise ValueError("cone half angle must be in (0, pi]")
+        if not math.isfinite(self.mount_deg):
+            raise ValidationError(f"mount_deg must be finite, got {self.mount_deg!r}")
+        if not 0.0 < self.cone_half_deg <= 180.0:
+            raise ValidationError(
+                f"cone_half_deg must be in (0, 180], got {self.cone_half_deg!r}")
+        for name in ("range_m", "r_max_hz"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValidationError(f"{name} must be positive and finite, got {value!r}")
+        object.__setattr__(self, "mount_angle", math.radians(self.mount_deg))
+        object.__setattr__(self, "cone_half_angle", math.radians(self.cone_half_deg))
 
 
-def default_sensor_fan(n: int = 6, *, cone_half_deg: float = 15.0,
-                       range_m: float = 2.0, r_max: float = 200.0) -> tuple[SensorSpec, ...]:
-    """Contiguous fan of n sensors, listed left to right, centered on the heading.
-
-    Mount angles are built as signed multiples of the spacing so that mirrored
-    sensor pairs carry bitwise-negated angles (exact mirror sensing).
-    """
-    half = math.radians(cone_half_deg)
-    spacing = 2.0 * half
-    center = (n - 1) / 2.0
-    return tuple(
-        SensorSpec(mount_angle=(i - center) * spacing, cone_half_angle=half,
-                   range=range_m, r_max=r_max)
-        for i in range(n)
-    )
+def default_fan_config(n: int = 6) -> tuple[SensorSpec, ...]:
+    """Contiguous fan of n 30-degree cones, listed left to right, centered on
+    the heading; mirrored sensor pairs carry exactly negated mount angles."""
+    first = -15.0 * (n - 1)
+    return tuple(SensorSpec(mount_deg=first + 30.0 * i) for i in range(n))
 
 
 # --------------------------------------------------------------------------
@@ -230,7 +231,7 @@ def sensor_distance(robot: Pose, sensor: SensorSpec, agent: Point) -> float | No
     """Distance to the agent if it sits inside the sensor cone, else None."""
     u, v = _robot_frame(robot, agent)
     d = math.hypot(u, v)
-    if d > sensor.range:
+    if d > sensor.range_m:
         return None
     if d == 0.0:
         return 0.0
@@ -246,7 +247,7 @@ def rate_from_distance(d: float, sensor: SensorSpec) -> float:
     """Linear proximity rate law: r_max at contact, zero at and beyond range."""
     if d < 0.0:
         raise NegativeDistance(f"distance {d} < 0")
-    return sensor.r_max * max(0.0, 1.0 - d / sensor.range)
+    return sensor.r_max_hz * max(0.0, 1.0 - d / sensor.range_m)
 
 
 class Encoding(Enum):
@@ -351,8 +352,4 @@ def mirror_trajectory(robot: Pose, traj: Trajectory) -> Trajectory:
 
 def mirror_sensors(sensors: Sequence[SensorSpec]) -> tuple[SensorSpec, ...]:
     """Mirrored fan, reordered so the result still lists sensors left to right."""
-    return tuple(
-        SensorSpec(mount_angle=-s.mount_angle, cone_half_angle=s.cone_half_angle,
-                   range=s.range, r_max=s.r_max)
-        for s in reversed(sensors)
-    )
+    return tuple(replace(s, mount_deg=-s.mount_deg) for s in reversed(sensors))

@@ -4,21 +4,21 @@ import time
 
 import pytest
 
-from ctd.harness import compare_variants, run_scenario
+from ctd.harness import compare_variants
 from ctd.suite import scripted_suite
 
 
 @pytest.fixture(scope="session")
-def suite_runs():
-    """All 30 scripted scenarios run once with the ddm circuit, with wall time."""
-    scenarios = scripted_suite()
+def suite_compares():
+    """All 30 scripted scenarios with both circuit variants on identical
+    sensing, and the wall time of that one shared pass."""
     t0 = time.perf_counter()
-    runs = [(s, run_scenario(s)) for s in scenarios]
-    elapsed = time.perf_counter() - t0
-    return runs, elapsed
+    compares = [(s, compare_variants(s)) for s in scripted_suite()]
+    return compares, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="session")
-def suite_compares():
-    """Both circuit variants on identical sensing, for the metric orderings."""
-    return [(s, compare_variants(s)) for s in scripted_suite()]
+def suite_runs(suite_compares):
+    """Each scripted scenario's own (ddm) run, taken from the shared pass."""
+    compares, elapsed = suite_compares
+    return [(s, c.ddm) for s, c in compares], elapsed

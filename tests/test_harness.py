@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 
 import pytest
 
@@ -99,14 +100,14 @@ def test_run_scenario_canonical_approach_regression_fixture():
 
 def test_compare_out_of_range_agent_gives_identical_zero_metrics():
     comparison = compare_variants(_out_of_range_scenario())
-    md, mw = comparison.metrics_ddm, comparison.metrics_weights
+    md, mw = comparison.ddm.metrics, comparison.weights.metrics
     assert md == mw
     assert (md.total_variation, md.max_step, md.mean_level) == (0.0, 0.0, 0.0)
 
 
 def test_compare_canonical_approach_orderings():
     comparison = compare_variants(canonical_scenario("approach"))
-    md, mw = comparison.metrics_ddm, comparison.metrics_weights
+    md, mw = comparison.ddm.metrics, comparison.weights.metrics
     assert md.max_step < mw.max_step
     assert md.total_variation < mw.total_variation
     assert md.mean_level >= 0.8 * mw.mean_level
@@ -193,6 +194,14 @@ def test_cli_suite_exit_codes(tmp_path):
     assert cli_main(["suite", str(suite_dir), "--out", str(out)]) == 0
     summary = json.loads((out / "suite_summary.json").read_text())
     assert summary["all_passed"] is True
+    assert all(v is True for v in summary["results"]["good"].values())
+    calibration = summary["calibration"]
+    good_run = calibration["scenarios"]["good"]
+    assert 0 < good_run["agree_windows"] <= good_run["windows"] == 39
+    assert calibration["agreement"] == good_run["agree_windows"] / 39
+    assert set(good_run["ddm"]) == {"total_variation", "max_step", "mean_level",
+                                    "degenerate"}
+    assert good_run["ddm"]["max_step"] < good_run["weights"]["max_step"]
 
     bad = dataclasses.replace(good, name="bad",
                               expect={"depth": "F"})
@@ -200,10 +209,36 @@ def test_cli_suite_exit_codes(tmp_path):
     assert cli_main(["suite", str(suite_dir), "--out", str(out)]) == 1
 
 
-def test_cli_rejects_broken_scenarios(tmp_path):
+_THREE_SENSORS = [{"mount_deg": -30}, {"mount_deg": 0}, {"mount_deg": 30}]
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({"sensors": {"fan": 5}}, "divisible by 3"),
+    ({"sensors": [{"mount_deg": -30, "range_m": -1.0}, *_THREE_SENSORS[1:]]},
+     "sensors[0].range_m"),
+    ({"sensors": [_THREE_SENSORS[0], {"mount_deg": 0, "cone_half_deg": math.inf},
+                  _THREE_SENSORS[2]]}, "sensors[1].cone_half_deg"),
+    ({"time": {"dt_ms": math.nan}}, "time.dt_ms"),
+    ({"time": {"dt_ms": 0.3, "duration_ms": 1000}}, "time.dt_ms"),
+    ({"overrides": {"assess_tau": -5.0}}, "overrides.assess_tau"),
+    ({"time": {"duration_ms": 100}}, "time.duration_ms"),
+    ({"overrides": {"theta_active": 2.7}}, "overrides.theta_active"),
+    ({"overrides": {"corr_lag_bins": 1.5}}, "overrides.corr_lag_bins"),
+    ('{"time": {"duration_ms": 1%s}}' % ("0" * 400), "out of range"),
+    ('{"seed": 1%s}' % ("0" * 5000), "out of range"),
+    ({"expect": {"depth": ["N"]}}, "expect.depth"),
+], ids=["sensor-count", "negative-range", "infinite-cone", "nan-dt",
+        "dt-not-dividing", "negative-tau", "shorter-than-window",
+        "fractional-theta", "fractional-lag", "float-overflow", "int-digit-limit",
+        "unhashable-expect"])
+def test_cli_rejects_broken_scenarios(tmp_path, capsys, doc, field):
+    # json.dumps writes NaN and Infinity tokens, which json.loads accepts;
+    # oversized integer literals are given as text.
     scenario_file = tmp_path / "broken.json"
-    scenario_file.write_text('{"sensors": {"fan": 5}}')
+    scenario_file.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     assert cli_main(["run", str(scenario_file), "--out", str(tmp_path / "o")]) == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def _peak_pair_correlation(kind: str) -> float:

@@ -6,12 +6,13 @@ import json
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ctd.errors import CtdError, ParseError, UnknownKey, ValidationError
 from ctd.scenario import (OVERRIDE_KEYS, Scenario, default_fan_config,
                           emit_scenario, parse_scenario)
 from ctd.suite import scripted_suite
-from ctd.world import Approach, Encoding, Waypoints
+from ctd.world import Approach, Encoding, SensorSpec, Waypoints
 
 
 def test_minimal_document_takes_defaults():
@@ -52,6 +53,28 @@ def test_round_trip_is_lossless_for_both_variants():
         second = parse_scenario(emit_scenario(first))
         assert first == second
         assert parse_scenario(emit_scenario(second)) == second
+
+
+def _positive_finite():
+    return st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+_SENSORS = st.builds(
+    SensorSpec,
+    mount_deg=st.floats(allow_nan=False, allow_infinity=False),
+    cone_half_deg=st.floats(min_value=0.0, max_value=180.0, exclude_min=True),
+    range_m=_positive_finite(),
+    r_max_hz=_positive_finite())
+
+
+@given(st.integers(1, 4).flatmap(
+    lambda units: st.lists(_SENSORS, min_size=3 * units, max_size=3 * units)))
+def test_explicit_sensor_lists_round_trip(sensors):
+    s = Scenario(sensors=tuple(sensors))
+    back = parse_scenario(emit_scenario(s))
+    assert back == s
+    for a, b in zip(back.sensors, s.sensors):
+        assert (a.mount_angle, a.cone_half_angle) == (b.mount_angle, b.cone_half_angle)
 
 
 def test_scripted_suite_round_trips():

@@ -8,9 +8,9 @@ import pytest
 
 from ctd.errors import NegativeDistance, OutOfRange
 from ctd.world import (Approach, Encoding, Pose, Recede, SensorSpec, SpikeTrain,
-                       Tangent, Waypoints, agent_position, default_sensor_fan,
-                       encode_spikes, mirror_trajectory, rate_from_distance,
-                       sense_scenario, sensor_distance)
+                       Tangent, Waypoints, agent_position, default_fan_config,
+                       encode_spikes, mirror_sensors, mirror_trajectory,
+                       rate_from_distance, sense_scenario, sensor_distance)
 
 
 def test_heading_normalized_to_half_open_interval():
@@ -34,14 +34,13 @@ def test_spike_train_validation():
 
 def test_sensor_sees_agent_on_axis_at_half_range():
     robot = Pose(heading=math.pi / 2)
-    sensor = SensorSpec(mount_angle=0.0, range=2.0)
+    sensor = SensorSpec(mount_deg=0.0, range_m=2.0)
     assert sensor_distance(robot, sensor, (0.0, 1.0)) == pytest.approx(1.0)
 
 
 def test_sensor_misses_beyond_range_and_outside_cone():
     robot = Pose(heading=math.pi / 2)
-    sensor = SensorSpec(mount_angle=0.0, range=2.0,
-                        cone_half_angle=math.radians(15.0))
+    sensor = SensorSpec(mount_deg=0.0, range_m=2.0, cone_half_deg=15.0)
     assert sensor_distance(robot, sensor, (0.0, 4.0)) is None
     off_axis = math.radians(22.5)  # 1.5x the half angle
     agent = (2.0 * math.sin(off_axis), 2.0 * math.cos(off_axis))
@@ -49,7 +48,7 @@ def test_sensor_misses_beyond_range_and_outside_cone():
 
 
 def test_rate_law_boundaries_and_midpoint():
-    sensor = SensorSpec(mount_angle=0.0, range=2.0, r_max=200.0)
+    sensor = SensorSpec(mount_deg=0.0, range_m=2.0, r_max_hz=200.0)
     assert rate_from_distance(0.0, sensor) == 200.0
     assert rate_from_distance(2.0, sensor) == 0.0
     assert rate_from_distance(1.0, sensor) == 100.0
@@ -59,7 +58,7 @@ def test_rate_law_boundaries_and_midpoint():
 
 
 def test_rate_law_strictly_decreasing_within_range():
-    sensor = SensorSpec(mount_angle=0.0, range=2.0, r_max=200.0)
+    sensor = SensorSpec(mount_deg=0.0, range_m=2.0, r_max_hz=200.0)
     ds = [0.01 * k for k in range(200)]
     rates = [rate_from_distance(d, sensor) for d in ds]
     assert all(a > b for a, b in zip(rates, rates[1:]))
@@ -121,7 +120,7 @@ def test_poisson_count_within_three_sigma():
 
 def test_out_of_scope_agent_is_silent_on_every_channel():
     robot = Pose(heading=math.pi / 2)
-    sensors = default_sensor_fan(6)
+    sensors = default_fan_config(6)
     traj = Tangent(closest=(0.0, 5.0), velocity_mps=(0.5, 0.0),
                    t_center_ms=1000.0, duration_ms=2000.0)
     trains = sense_scenario(robot, sensors, traj, 1.0)
@@ -132,8 +131,7 @@ def test_tangent_pass_sweeps_sensors_in_order():
     # Three contiguous cones; oracle: closed-form time of entry into each cone
     # (bearing crossing of the left cone edge on the pass line y = 1).
     robot = Pose(heading=math.pi / 2)
-    sensors = tuple(SensorSpec(mount_angle=math.radians(m))
-                    for m in (-30.0, 0.0, 30.0))
+    sensors = tuple(SensorSpec(mount_deg=m) for m in (-30.0, 0.0, 30.0))
     speed = 1.0
     traj = Tangent(closest=(0.0, 1.0), velocity_mps=(speed, 0.0),
                    t_center_ms=2000.0, duration_ms=4000.0)
@@ -152,7 +150,7 @@ def test_head_on_approach_isis_shrink_with_rising_rate():
     # Quantization can stretch a single interval by at most one step; the
     # underlying phase-crossing gaps shrink monotonically with the rate.
     robot = Pose(heading=math.pi / 2)
-    sensor = SensorSpec(mount_angle=0.0)
+    sensor = SensorSpec(mount_deg=0.0)
     traj = Approach(start=(0.0, 2.2), goal=(0.0, 0.05), speed_mps=1.0,
                     duration_ms=2000.0)
     train = sense_scenario(robot, (sensor,), traj, 1.0)[0]
@@ -163,7 +161,7 @@ def test_head_on_approach_isis_shrink_with_rising_rate():
 
 def test_mirrored_tangent_swaps_sensor_trains_exactly():
     robot = Pose(heading=math.pi / 2)
-    sensors = default_sensor_fan(6)
+    sensors = default_fan_config(6)
     traj = Tangent(closest=(0.0, 1.0), velocity_mps=(0.5, 0.0),
                    t_center_ms=2500.0, duration_ms=5000.0)
     mirrored = mirror_trajectory(robot, traj)
@@ -190,7 +188,12 @@ def test_mirrored_segment_paths_reflect_exactly():
 
 
 def test_default_fan_is_left_to_right_and_contiguous():
-    fan = default_sensor_fan(6)
-    mounts = [math.degrees(s.mount_angle) for s in fan]
-    assert mounts == pytest.approx([-75.0, -45.0, -15.0, 15.0, 45.0, 75.0])
-    assert all(b - a == pytest.approx(30.0) for a, b in zip(mounts, mounts[1:]))
+    fan = default_fan_config(6)
+    assert [s.mount_deg for s in fan] == [-75.0, -45.0, -15.0, 15.0, 45.0, 75.0]
+    assert all(s.cone_half_deg == 15.0 for s in fan)
+    for s in fan:
+        assert s.mount_angle == math.radians(s.mount_deg)
+        assert s.cone_half_angle == math.radians(s.cone_half_deg)
+    assert mirror_sensors(fan) == fan
+    assert ([s.mount_angle for s in mirror_sensors(fan)]
+            == [-s.mount_angle for s in reversed(fan)])
