@@ -13,9 +13,8 @@ from .circuits import (CognitiveReadout, CtdHandles, CtdParams,
                        build_pdd_chain, build_pdd_unit, classify,
                        dominant_readout, read_depth, read_direction,
                        trace_direction)
-from .core import (CircuitGraph, ConnectionKind, NeuronParams, NeuronState,
-                   Synapse, Trace, initial_state, simulate, step_circuit,
-                   step_neuron)
+from .core import (CircuitGraph, ConnectionKind, NeuronParams, Synapse, Trace,
+                   simulate)
 from .correlation import (BinnedTrain, CorrelationParams, CorrelationProfile,
                           bin_spikes, classify_by_correlation,
                           normalized_profile, signed_xcorr, xcorr)

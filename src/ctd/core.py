@@ -3,16 +3,42 @@
 The model is deliberately minimal: exact exponential leak per step, synapses
 deliver signed instantaneous current deltas after an integer step delay, and
 all deliveries arriving at one step are summed (math.fsum, so the result does
-not depend on synapse ordering) before the threshold test.
+not depend on synapse ordering) before the threshold test. One step of a
+neuron is
+
+    v <- v_rest + (v - v_rest) * exp(-dt / tau_m) + sum(deliveries)
+
+clamped below at v_floor; the neuron fires, resets to v_reset and starts its
+refractory period when v reaches v_threshold and t is at or past the end of
+the previous refractory period. A spike fired at step k reaches its targets
+at step k + delay, never within step k (observation, then commit); each drive
+spike delivers its input port's weight once.
+
+`simulate` holds the state as plain per-neuron lists and is event driven. It
+applies that update to every neuron, one step at a time, only at event steps:
+a step at which some delivery is due, and the step after one that left a
+neuron at or above its threshold. Between events every neuron only decays.
+When every neuron has v_rest == 0 and v_threshold > v_rest, a decaying neuron
+can neither fire nor reach its floor, and the update reduces to
+0.0 + v * decay + 0.0. A quiet stretch is then filled with one
+np.multiply.accumulate over a (steps, neurons) block, which multiplies in the
+same order, followed by + 0.0, which gives a zero the same sign: the
+potentials are bit-identical to stepping. A circuit with any other neuron
+treats every step as an event. Rotter & Diesmann (1999) advance such linear
+stretches with the closed-form propagator decay**span; the block multiplies
+the stretch out step by step instead, because decay**span rounds differently.
 """
 
 from __future__ import annotations
 
 import bisect
+import heapq
 import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
+
+import numpy as np
 
 from .errors import DuplicatePort, UnknownNeuron, UnknownPort
 from .world import SpikeTrain
@@ -40,17 +66,6 @@ class NeuronParams:
             raise ValueError("v_rest must not exceed v_threshold")
         if self.v_floor > min(self.v_reset, self.v_rest):
             raise ValueError("v_floor must lie at or below v_reset and v_rest")
-
-
-@dataclass
-class NeuronState:
-    v: float
-    refractory_until: float = -math.inf
-    last_spike: float | None = None
-
-
-def initial_state(params: NeuronParams) -> NeuronState:
-    return NeuronState(v=params.v_rest)
 
 
 class ConnectionKind(Enum):
@@ -153,12 +168,16 @@ class CircuitGraph:
 
 @dataclass(frozen=True)
 class Trace:
-    """Complete record of one simulation: spike times and sampled potentials."""
+    """Complete record of one simulation: spike times and sampled potentials.
+
+    `potentials[k, j]` is the membrane potential of neuron `neuron_ids[j]`
+    after step k, one float64 row per step.
+    """
 
     dt: float
     duration: float
     spikes: dict[str, tuple[float, ...]]
-    potentials: dict[str, tuple[float, ...]]
+    potentials: np.ndarray
 
     @property
     def neuron_ids(self) -> tuple[str, ...]:
@@ -188,94 +207,104 @@ class Trace:
         return last
 
 
-def step_neuron(state: NeuronState, params: NeuronParams, synaptic_input: float,
-                t: float, dt: float) -> tuple[NeuronState, bool]:
-    """One membrane update: exact exponential leak, then the summed input delta.
-
-    Firing requires being past the refractory window; a spike resets the
-    potential and records the spike time.
-    """
-    decay = math.exp(-dt / params.tau_m)
-    v = params.v_rest + (state.v - params.v_rest) * decay + synaptic_input
-    if v < params.v_floor:
-        v = params.v_floor
-    if t >= state.refractory_until and v >= params.v_threshold:
-        return NeuronState(v=params.v_reset, refractory_until=t + params.refractory,
-                           last_spike=t), True
-    return NeuronState(v=v, refractory_until=state.refractory_until,
-                       last_spike=state.last_spike), False
-
-
-def step_circuit(circuit: CircuitGraph, states: dict[str, NeuronState],
-                 pending: dict[int, dict[str, list[float]]],
-                 external: Mapping[str, int], t: float, dt: float,
-                 ) -> tuple[dict[str, NeuronState], dict[int, dict[str, list[float]]], set[str]]:
-    """Advance every neuron by one step; observation-then-commit semantics.
-
-    `pending` maps absolute step index to per-neuron lists of signed weights
-    due to arrive at that step; both `states` and `pending` are updated in
-    place and returned. External injections contribute the port weight once
-    per spike. Spikes fired this step are enqueued at t + delay*dt.
-    """
-    step_idx = int(round(t / dt))
-    arrivals = pending.pop(step_idx, {})
-    for port, count in external.items():
-        spec = circuit.input_ports.get(port)
-        if spec is None:
-            raise UnknownPort(port)
-        if count:
-            arrivals.setdefault(spec.neuron, []).extend([spec.weight] * int(count))
-
-    fired: set[str] = set()
-    for nid in circuit.neuron_ids:
-        inputs = arrivals.get(nid)
-        drive = math.fsum(inputs) if inputs else 0.0
-        states[nid], did_fire = step_neuron(states[nid], circuit.params_of(nid), drive, t, dt)
-        if did_fire:
-            fired.add(nid)
-
-    if fired:
-        for syn in circuit.synapses:
-            if syn.pre in fired:
-                slot = pending.setdefault(step_idx + syn.delay, {})
-                slot.setdefault(syn.post, []).append(syn.signed_weight)
-    return states, pending, fired
-
-
 def simulate(circuit: CircuitGraph, drive: Mapping[str, SpikeTrain],
              duration: float, dt: float) -> Trace:
-    """Run the circuit against per-port drive trains; deterministic end to end."""
+    """Run the circuit against per-port drive trains; deterministic end to end.
+
+    Steps that receive a delivery, and steps after one that left a neuron at
+    or above threshold, are stepped one at a time; the quiet stretches between
+    them are filled in one block when the circuit allows it (module docstring).
+    """
     if duration <= 0 or dt <= 0:
         raise ValueError("duration and dt must be positive")
     n_steps = int(round(duration / dt))
     if abs(n_steps * dt - duration) > 1e-9:
         raise ValueError("duration must be an integer multiple of dt")
 
-    external_schedule: dict[int, dict[str, int]] = {}
+    ids = circuit.neuron_ids
+    index = {nid: i for i, nid in enumerate(ids)}
+    # pending[k][i]: the signed weights that arrive at neuron i at step k;
+    # `due` is a heap of the keys of `pending`.
+    pending: dict[int, dict[int, list[float]]] = {}
     for port, train in drive.items():
-        if port not in circuit.input_ports:
+        spec = circuit.input_ports.get(port)
+        if spec is None:
             raise UnknownPort(port)
         for s in train.times:
             if not (0.0 <= s < duration):
                 raise ValueError(f"drive spike {s} outside [0, {duration})")
             k = int(math.floor(s / dt + 1e-9))
-            slot = external_schedule.setdefault(k, {})
-            slot[port] = slot.get(port, 0) + 1
+            pending.setdefault(k, {}).setdefault(index[spec.neuron], []).append(spec.weight)
+    due = list(pending)
+    heapq.heapify(due)
+    outgoing: list[list[tuple[int, int, float]]] = [[] for _ in ids]
+    for syn in circuit.synapses:
+        outgoing[index[syn.pre]].append((syn.delay, index[syn.post], syn.signed_weight))
 
-    states = {nid: initial_state(circuit.params_of(nid)) for nid in circuit.neuron_ids}
-    pending: dict[int, dict[str, list[float]]] = {}
-    spikes: dict[str, list[float]] = {nid: [] for nid in circuit.neuron_ids}
-    potentials: dict[str, list[float]] = {nid: [] for nid in circuit.neuron_ids}
+    params = [circuit.params_of(nid) for nid in ids]
+    decay = [math.exp(-dt / p.tau_m) for p in params]
+    v_rest = [p.v_rest for p in params]
+    v_threshold = [p.v_threshold for p in params]
+    v_reset = [p.v_reset for p in params]
+    v_floor = [p.v_floor for p in params]
+    refractory = [p.refractory for p in params]
+    every_step = not all(p.v_rest == 0.0 and p.v_threshold > p.v_rest for p in params)
 
-    for k in range(n_steps):
+    n = len(ids)
+    v = list(v_rest)
+    refractory_until = [-math.inf] * n
+    spikes: list[list[float]] = [[] for _ in ids]
+    potentials = np.empty((n_steps, n))
+    decay_row = np.array(decay)
+    hot = every_step  # whether step k must be stepped even without arrivals
+    k = 0
+    while k < n_steps:
+        quiet_end = k if hot else (min(due[0], n_steps) if due else n_steps)
+        if quiet_end > k:
+            # Row j of the block is v * decay**(j+1), multiplied one step at a
+            # time; + 0.0 gives a zero the sign the scalar update gives it.
+            block = potentials[k:quiet_end]
+            block[:] = decay_row
+            block[0] *= v
+            np.multiply.accumulate(block, axis=0, out=block)
+            block += 0.0
+            v = block[-1].tolist()
+            k = quiet_end
+            continue
+
         t = k * dt
-        _, _, fired = step_circuit(circuit, states, pending,
-                                   external_schedule.get(k, {}), t, dt)
-        for nid in circuit.neuron_ids:
-            potentials[nid].append(states[nid].v)
-        for nid in fired:
-            spikes[nid].append(t)
+        arrivals: dict[int, list[float]] = {}
+        if due and due[0] == k:
+            heapq.heappop(due)
+            arrivals = pending.pop(k)
+        hot = every_step
+        fired = []
+        for i in range(n):
+            inputs = arrivals.get(i)
+            x = (v_rest[i] + (v[i] - v_rest[i]) * decay[i]
+                 + (math.fsum(inputs) if inputs else 0.0))
+            if x < v_floor[i]:
+                x = v_floor[i]
+            if x >= v_threshold[i]:
+                if t >= refractory_until[i]:
+                    x = v_reset[i]
+                    refractory_until[i] = t + refractory[i]
+                    fired.append(i)
+                else:
+                    hot = True
+            v[i] = x
+        potentials[k] = v
+
+        for i in fired:
+            spikes[i].append(t)
+            for delay, post, weight in outgoing[i]:
+                slot = pending.get(k + delay)
+                if slot is None:
+                    slot = pending[k + delay] = {}
+                    heapq.heappush(due, k + delay)
+                slot.setdefault(post, []).append(weight)
+        k += 1
 
     return Trace(dt=dt, duration=duration,
-                 spikes={nid: tuple(ts) for nid, ts in spikes.items()},
-                 potentials={nid: tuple(vs) for nid, vs in potentials.items()})
+                 spikes={nid: tuple(spikes[i]) for i, nid in enumerate(ids)},
+                 potentials=potentials)

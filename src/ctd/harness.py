@@ -37,8 +37,9 @@ def potential_variation(trace: Trace, monitored: Sequence[str]) -> VariationMetr
     """Variation metrics over the monitored neurons' full potential traces."""
     if not monitored:
         return VariationMetrics(0.0, 0.0, 0.0, degenerate=True)
+    columns = {nid: j for j, nid in enumerate(trace.neuron_ids)}
     for nid in monitored:
-        if nid not in trace.potentials:
+        if nid not in columns:
             raise UnknownNeuron(nid)
     duration_s = trace.duration / 1000.0
     tv = 0.0
@@ -46,7 +47,7 @@ def potential_variation(trace: Trace, monitored: Sequence[str]) -> VariationMetr
     level = 0.0
     samples = 0
     for nid in monitored:
-        v = np.asarray(trace.potentials[nid], dtype=float)
+        v = trace.potentials[:, columns[nid]]
         if v.size > 1:
             steps = np.abs(np.diff(v))
             tv += float(steps.sum())
@@ -246,14 +247,13 @@ def emit_outputs(artifacts: RunArtifacts, out_dir: str | Path,
     paths.append(spikes_path)
 
     potentials_path = out / "potentials.csv"
-    ids = trace.neuron_ids
-    n_steps = len(next(iter(trace.potentials.values()), ()))
     with potentials_path.open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["time_ms", *ids])
-        for k in range(0, n_steps, max(1, potential_subsample)):
-            writer.writerow([_fmt(k * trace.dt),
-                             *(_fmt(trace.potentials[nid][k]) for nid in ids)])
+        writer.writerow(["time_ms", *trace.neuron_ids])
+        # csv.writer formats a float with repr, as _fmt does. Converting one
+        # row at a time keeps the Python floats of only that row alive.
+        for k in range(0, len(trace.potentials), max(1, potential_subsample)):
+            writer.writerow([float(k * trace.dt), *trace.potentials[k].tolist()])
     paths.append(potentials_path)
 
     states_path = out / "states.csv"

@@ -12,7 +12,7 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterator
 
 from .circuits import CtdParams, DepthState, Direction
 from .correlation import CorrelationParams
@@ -108,6 +108,11 @@ class Scenario:
         if steps == math.inf or abs(round(steps) * self.dt_ms - self.duration_ms) > 1e-9:
             raise ValidationError(f"time.dt_ms {self.dt_ms!r} must divide "
                                   f"time.duration_ms {self.duration_ms!r}")
+        for key, value in (("robot.x", self.robot_x), ("robot.y", self.robot_y),
+                           ("robot.heading_deg", self.robot_heading_deg),
+                           *_numbers(_trajectory_to_json(self.trajectory), "trajectory")):
+            if not math.isfinite(value):
+                raise ValidationError(f"{key} must be finite, got {value!r}")
         if len(self.sensors) == 0 or len(self.sensors) % 3 != 0:
             raise ValidationError(
                 f"sensor count {len(self.sensors)} must be divisible by 3")
@@ -334,6 +339,18 @@ def parse_scenario(text: str) -> Scenario:
 # --------------------------------------------------------------------------
 # Emission
 # --------------------------------------------------------------------------
+
+def _numbers(value: Any, where: str) -> Iterator[tuple[str, float]]:
+    """Every number in a JSON-shaped value, with its path."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _numbers(item, f"{where}.{key}")
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _numbers(item, f"{where}[{i}]")
+    elif isinstance(value, (int, float)):
+        yield where, value
+
 
 def _trajectory_to_json(traj: Trajectory) -> dict[str, Any]:
     if isinstance(traj, (Approach, Recede)):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from ctd.circuits import (CtdParams, DEFAULT_JUDGE_MATRIX, DepthState, Direction,
@@ -173,7 +174,7 @@ def test_judge_bank_rejects_negative_weights():
 def _trace_with_first_spikes(ids, firsts) -> Trace:
     spikes = {nid: ((t,) if t is not None else ()) for nid, t in zip(ids, firsts)}
     return Trace(dt=1.0, duration=1000.0, spikes=spikes,
-                 potentials={nid: (0.0,) * 1000 for nid in ids})
+                 potentials=np.zeros((1000, len(spikes))))
 
 
 def test_read_direction_orderings():
@@ -202,7 +203,7 @@ def _ddm_trace(up_times, down_times):
     spikes[ddm.a_up] = tuple(up_times)
     spikes[ddm.a_down] = tuple(down_times)
     trace = Trace(dt=1.0, duration=1000.0, spikes=spikes,
-                  potentials={nid: (0.0,) * 1000 for nid in circuit.neuron_ids})
+                  potentials=np.zeros((1000, len(spikes))))
     return ddm, trace
 
 

@@ -6,6 +6,7 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
 from ctd.circuits import DepthState, Direction
@@ -21,8 +22,8 @@ from ctd.world import Encoding, Tangent
 
 def _flat_trace(samples: dict[str, tuple[float, ...]], dt=1.0) -> Trace:
     duration = dt * len(next(iter(samples.values())))
-    return Trace(dt=dt, duration=duration,
-                 spikes={nid: () for nid in samples}, potentials=samples)
+    return Trace(dt=dt, duration=duration, spikes={nid: () for nid in samples},
+                 potentials=np.array(list(samples.values())).T)
 
 
 def test_variation_metrics_constant_trace_is_flat():
@@ -227,10 +228,27 @@ _THREE_SENSORS = [{"mount_deg": -30}, {"mount_deg": 0}, {"mount_deg": 30}]
     ('{"time": {"duration_ms": 1%s}}' % ("0" * 400), "out of range"),
     ('{"seed": 1%s}' % ("0" * 5000), "out of range"),
     ({"expect": {"depth": ["N"]}}, "expect.depth"),
+    ({"robot": {"x": math.nan}}, "robot.x"),
+    ({"robot": {"y": -math.inf}}, "robot.y"),
+    ({"robot": {"heading_deg": math.inf}}, "robot.heading_deg"),
+    ({"trajectory": {"kind": "tangent", "closest": [math.nan, 1]}},
+     "trajectory.closest"),
+    ({"trajectory": {"kind": "tangent", "t_center_ms": math.inf}},
+     "trajectory.t_center_ms"),
+    ({"trajectory": {"kind": "approach", "from": [math.inf, 0.0]}}, "trajectory.from"),
+    ({"trajectory": {"kind": "recede", "to": [0.0, math.nan]}}, "trajectory.to"),
+    ({"trajectory": {"kind": "waypoints",
+                     "points": [[0, [0.0, 1.0]], [math.inf, [1.0, 1.0]]]}},
+     "trajectory.points[1][0]"),
+    ({"trajectory": {"kind": "waypoints",
+                     "points": [[0, [0.0, 1.0]], [100, [math.nan, 1.0]]]}},
+     "trajectory.points[1][1]"),
 ], ids=["sensor-count", "negative-range", "infinite-cone", "nan-dt",
         "dt-not-dividing", "negative-tau", "shorter-than-window",
         "fractional-theta", "fractional-lag", "float-overflow", "int-digit-limit",
-        "unhashable-expect"])
+        "unhashable-expect", "nan-robot-x", "infinite-robot-y",
+        "infinite-robot-heading", "nan-closest", "infinite-t-center",
+        "infinite-from", "nan-to", "infinite-waypoint-time", "nan-waypoint-point"])
 def test_cli_rejects_broken_scenarios(tmp_path, capsys, doc, field):
     # json.dumps writes NaN and Infinity tokens, which json.loads accepts;
     # oversized integer literals are given as text.
