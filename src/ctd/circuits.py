@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Mapping, Sequence
 
 from .core import CircuitGraph, ConnectionKind, NeuronParams, Trace
 from .errors import BadArity, NegativeWeight, UnknownNeuron
@@ -105,8 +105,6 @@ class PddUnit:
 @dataclass(frozen=True)
 class DdmUnit:
     index: int
-    left_input: str
-    right_input: str
     g_left: str
     g_right: str
     a_up: str
@@ -117,13 +115,13 @@ class DdmUnit:
 class JudgeBank:
     index: int
     judge_ids: tuple[str, str, str]  # (N, M, F)
-    weights: tuple[tuple[float, float, float], ...]
-    detector_ids: tuple[str, str, str]
 
 
 @dataclass(frozen=True)
 class CognitiveReadout:
-    """Per-window classification with the spike evidence it was based on."""
+    """Per-window classification with the spike evidence it was based on:
+    `evidence` counts the winning unit's detectors, then its depth layer's
+    neurons, and `read_depth` decides depth and decisiveness from it alone."""
 
     window: tuple[float, float]
     direction: Direction
@@ -134,21 +132,30 @@ class CognitiveReadout:
     detector_count: int
 
 
+# A PDD unit's depth stage: its pair of depth modules, or its judge bank.
+DepthLayer = tuple[DdmUnit, ...] | JudgeBank
+
+
+def _depth_layer_ids(layer: DepthLayer) -> tuple[str, ...]:
+    """Every neuron of a depth layer: g_left, g_right, a_up, a_down per
+    module, or the N, M, F judges."""
+    if isinstance(layer, JudgeBank):
+        return layer.judge_ids
+    return tuple(nid for d in layer for nid in (d.g_left, d.g_right, d.a_up, d.a_down))
+
+
 @dataclass(frozen=True)
 class CtdHandles:
-    variant: str
     pdd_units: tuple[PddUnit, ...]
-    ddm_units: tuple[tuple[DdmUnit, ...], ...]   # per PDD unit, empty for weights
-    judge_banks: tuple[JudgeBank, ...]           # per PDD unit, empty for ddm
+    depth_layers: tuple[DepthLayer, ...]   # one per PDD unit, in the same order
 
     def depth_neuron_ids(self) -> tuple[str, ...]:
-        if self.variant == "ddm":
-            ids: list[str] = []
-            for pair in self.ddm_units:
-                for ddm in pair:
-                    ids.extend((ddm.a_up, ddm.a_down))
-            return tuple(ids)
-        return tuple(j for bank in self.judge_banks for j in bank.judge_ids)
+        """The neurons depth is read from: a_up, a_down per module, or N, M, F."""
+        ids: list[str] = []
+        for layer in self.depth_layers:
+            ids.extend(layer.judge_ids if isinstance(layer, JudgeBank)
+                       else (n for d in layer for n in (d.a_up, d.a_down)))
+        return tuple(ids)
 
 
 # --------------------------------------------------------------------------
@@ -156,12 +163,10 @@ class CtdHandles:
 # --------------------------------------------------------------------------
 
 def build_pdd_unit(circuit: CircuitGraph, port_names: Sequence[str],
-                   params: CtdParams = CtdParams(), index: int | None = None) -> PddUnit:
+                   params: CtdParams = CtdParams(), *, index: int) -> PddUnit:
     """Three port-driven detectors with full pairwise lateral inhibition."""
     if len(port_names) != 3:
         raise BadArity(f"a PDD unit takes exactly 3 ports, got {len(port_names)}")
-    if index is None:
-        index = len(circuit.ids_with_role("detector")) // 3
     det_params = params.detector_neuron()
     ids = tuple(f"pdd{index}.det{j}" for j in range(3))
     for nid, port in zip(ids, port_names):
@@ -187,7 +192,7 @@ def build_pdd_chain(circuit: CircuitGraph, n_channels: int,
 
 
 def build_ddm_unit(circuit: CircuitGraph, left_id: str, right_id: str,
-                   params: CtdParams = CtdParams(), index: int | None = None) -> DdmUnit:
+                   params: CtdParams = CtdParams(), *, index: int) -> DdmUnit:
     """Atomic depth module between two adjacent detector outputs.
 
     The regulatory pair races on mutual inhibition; the assessing pair sees
@@ -197,8 +202,6 @@ def build_ddm_unit(circuit: CircuitGraph, left_id: str, right_id: str,
     for nid in (left_id, right_id):
         if nid not in circuit:
             raise UnknownNeuron(nid)
-    if index is None:
-        index = len(circuit.ids_with_role("regulatory")) // 2
     reg = params.regulatory_neuron()
     assess = params.assessing_neuron()
     g_left = f"ddm{index}.g_left"
@@ -218,17 +221,14 @@ def build_ddm_unit(circuit: CircuitGraph, left_id: str, right_id: str,
     circuit.add_synapse(g_left, a_up, INH, params.assess_w_inh, delay=1)
     circuit.add_synapse(g_left, a_down, EXC, params.assess_w_exc, delay=1)
     circuit.add_synapse(g_right, a_down, INH, params.assess_w_inh, delay=1)
-    circuit.add_output_port(f"{a_up}.out", a_up)
-    circuit.add_output_port(f"{a_down}.out", a_down)
-    return DdmUnit(index=index, left_input=left_id, right_input=right_id,
-                   g_left=g_left, g_right=g_right, a_up=a_up, a_down=a_down)
+    return DdmUnit(index=index, g_left=g_left, g_right=g_right, a_up=a_up, a_down=a_down)
 
 
 def build_judge_bank(circuit: CircuitGraph, pdd_unit: PddUnit,
                      weights: Sequence[Sequence[float]],
-                     params: CtdParams = CtdParams(),
-                     index: int | None = None) -> JudgeBank:
-    """Three excitatory-only judge neurons over one unit's detectors."""
+                     params: CtdParams = CtdParams()) -> JudgeBank:
+    """Three excitatory-only judge neurons over one unit's detectors, numbered
+    after the unit."""
     rows = tuple(tuple(float(w) for w in row) for row in weights)
     if len(rows) != 3 or any(len(r) != 3 for r in rows):
         raise ValueError("judge weights must be a 3x3 matrix")
@@ -236,48 +236,37 @@ def build_judge_bank(circuit: CircuitGraph, pdd_unit: PddUnit,
         for w in row:
             if w < 0:
                 raise NegativeWeight(f"judge weight {w} < 0")
-    if index is None:
-        index = len(circuit.ids_with_role("judge")) // 3
     judge_params = params.judge_neuron()
-    ids = tuple(f"judge{index}.{s}" for s in ("n", "m", "f"))
+    ids = tuple(f"judge{pdd_unit.index}.{s}" for s in ("n", "m", "f"))
     for nid in ids:
         circuit.add_neuron(nid, judge_params, role="judge")
     for i, nid in enumerate(ids):
         for j, det in enumerate(pdd_unit.detector_ids):
             circuit.add_synapse(det, nid, EXC, rows[i][j], delay=1)
-        circuit.add_output_port(f"{nid}.out", nid)
-    return JudgeBank(index=index, judge_ids=ids, weights=rows,
-                     detector_ids=pdd_unit.detector_ids)
+    return JudgeBank(index=pdd_unit.index, judge_ids=ids)
 
 
-def build_ctd(n_sensors: int, variant: str, params: CtdParams = CtdParams(),
-              judge_matrix: Sequence[Sequence[float]] | None = None,
-              ) -> tuple[CircuitGraph, CtdHandles]:
-    """Full detector: PDD chain plus the chosen depth layer.
+def build_ctd(n_sensors: int, variant: str,
+              params: CtdParams = CtdParams()) -> tuple[CircuitGraph, CtdHandles]:
+    """Full detector: PDD chain plus one depth layer per unit.
 
-    The ddm variant instantiates one depth module per adjacent detector pair
-    within each unit (two per unit); the weights variant attaches one judge
-    bank per unit instead.
+    With the ddm variant a unit's layer is two depth modules, one per adjacent
+    detector pair; with the weights variant it is a judge bank. Unit u owns
+    pdd{u}, ddm{2u} and ddm{2u+1}, or judge{u}.
     """
     if variant not in ("ddm", "weights"):
         raise ValueError(f"unknown variant {variant!r}")
     circuit = CircuitGraph()
     pdd_units = build_pdd_chain(circuit, n_sensors, params)
-    ddm_units: list[tuple[DdmUnit, ...]] = []
-    judge_banks: list[JudgeBank] = []
-    if variant == "ddm":
-        for unit in pdd_units:
-            d = unit.detector_ids
-            pair = (build_ddm_unit(circuit, d[0], d[1], params),
-                    build_ddm_unit(circuit, d[1], d[2], params))
-            ddm_units.append(pair)
-    else:
-        matrix = DEFAULT_JUDGE_MATRIX if judge_matrix is None else judge_matrix
-        for unit in pdd_units:
-            judge_banks.append(build_judge_bank(circuit, unit, matrix, params))
-    handles = CtdHandles(variant=variant, pdd_units=tuple(pdd_units),
-                         ddm_units=tuple(ddm_units), judge_banks=tuple(judge_banks))
-    return circuit, handles
+    layers: list[DepthLayer] = []
+    for u, unit in enumerate(pdd_units):
+        d = unit.detector_ids
+        if variant == "ddm":
+            layers.append((build_ddm_unit(circuit, d[0], d[1], params, index=2 * u),
+                           build_ddm_unit(circuit, d[1], d[2], params, index=2 * u + 1)))
+        else:
+            layers.append(build_judge_bank(circuit, unit, DEFAULT_JUDGE_MATRIX, params))
+    return circuit, CtdHandles(pdd_units=tuple(pdd_units), depth_layers=tuple(layers))
 
 
 def build_excitatory_loop_fixture(w_loop: float = 1.2) -> tuple[CircuitGraph, str]:
@@ -318,14 +307,6 @@ def read_direction(trace: Trace, unit: PddUnit, window: tuple[float, float]) -> 
     return Direction.UNDETERMINED
 
 
-def _assessing_counts(trace: Trace, ddms: Iterable[DdmUnit],
-                      window: tuple[float, float]) -> tuple[int, int]:
-    t0, t1 = window
-    up = sum(trace.spike_count(d.a_up, t0, t1) for d in ddms)
-    down = sum(trace.spike_count(d.a_down, t0, t1) for d in ddms)
-    return up, down
-
-
 _DEPTH_TABLE = {
     ("up", Direction.LEFT_TO_RIGHT): DepthState.N,
     ("down", Direction.LEFT_TO_RIGHT): DepthState.F,
@@ -334,32 +315,30 @@ _DEPTH_TABLE = {
 }
 
 
-def read_depth(trace: Trace, depth: DdmUnit | Sequence[DdmUnit] | JudgeBank,
-               direction: Direction, window: tuple[float, float],
-               theta_active: int = CtdParams.theta_active) -> DepthState:
-    """Depth state from the assessing pair(s) or the judge bank in one window.
+def read_depth(layer: DepthLayer, counts: Mapping[str, int], direction: Direction,
+               theta_active: int = CtdParams.theta_active) -> tuple[DepthState, int]:
+    """Depth state and decisiveness of one depth layer from per-neuron spike counts.
 
-    Assessing route: both sides below theta_active, or tied, reads M;
-    otherwise the dominant side combined with the travel direction picks N or
-    F (approaching is always N). A whole unit's modules may be passed; their
-    counts are pooled. Judge route: strict argmax of judge counts, ties M.
+    Depth modules: their assessing counts are pooled; both sides below
+    theta_active, or tied, reads M; otherwise the dominant side combined with
+    the travel direction picks N or F (approaching is always N). Decisiveness
+    is the absolute imbalance. Judge bank: strict argmax of the N, M, F
+    counts, ties M; decisiveness is the margin of the top count over the next.
     """
-    t0, t1 = window
-    if isinstance(depth, JudgeBank):
-        counts = [trace.spike_count(j, t0, t1) for j in depth.judge_ids]
-        best = max(counts)
-        if counts.count(best) != 1 or best == 0:
-            return DepthState.M
-        return (DepthState.N, DepthState.M, DepthState.F)[counts.index(best)]
+    if isinstance(layer, JudgeBank):
+        judged = [counts[j] for j in layer.judge_ids]
+        best, runner_up = sorted(judged, reverse=True)[:2]
+        if best == runner_up:
+            return DepthState.M, 0
+        depth = (DepthState.N, DepthState.M, DepthState.F)[judged.index(best)]
+        return depth, best - runner_up
 
-    ddms = [depth] if isinstance(depth, DdmUnit) else list(depth)
-    up, down = _assessing_counts(trace, ddms, window)
-    if up < theta_active and down < theta_active:
-        return DepthState.M
-    if up == down:
-        return DepthState.M
+    up = sum(counts[d.a_up] for d in layer)
+    down = sum(counts[d.a_down] for d in layer)
+    if (up < theta_active and down < theta_active) or up == down:
+        return DepthState.M, abs(up - down)
     side = "up" if up > down else "down"
-    return _DEPTH_TABLE.get((side, direction), DepthState.M)
+    return _DEPTH_TABLE.get((side, direction), DepthState.M), abs(up - down)
 
 
 def trace_direction(trace: Trace, units: Sequence[PddUnit]) -> Direction:
@@ -367,7 +346,7 @@ def trace_direction(trace: Trace, units: Sequence[PddUnit]) -> Direction:
     window = (0.0, trace.duration)
     ranked = sorted(
         units,
-        key=lambda u: (-sum(trace.spike_count(d) for d in u.detector_ids), u.index))
+        key=lambda u: (-sum(len(trace.spikes[d]) for d in u.detector_ids), u.index))
     for unit in ranked:
         d = read_direction(trace, unit, window)
         if d is not Direction.UNDETERMINED:
@@ -390,38 +369,25 @@ def classify(trace: Trace, handles: CtdHandles,
     if w > trace.duration:
         raise ValueError(
             f"window {w} ms exceeds trace duration {trace.duration} ms")
-    global_dir = trace_direction(trace, handles.pdd_units)
+    units = handles.pdd_units
+    global_dir = trace_direction(trace, units)
     readouts: list[CognitiveReadout] = []
     t0 = 0.0
     while t0 + w <= trace.duration + 1e-9:
         window = (t0, t0 + w)
-        counts = [sum(trace.spike_count(d, *window) for d in u.detector_ids)
-                  for u in handles.pdd_units]
-        unit = handles.pdd_units[max(range(len(counts)), key=lambda i: (counts[i], -i))]
-        det_count = counts[unit.index]
+        det = [[trace.spike_count(d, *window) for d in u.detector_ids] for u in units]
+        best = max(range(len(units)), key=lambda i: (sum(det[i]), -i))
+        unit, layer = units[best], handles.depth_layers[best]
+        det_count = sum(det[best])
 
         direction = read_direction(trace, unit, window)
         if direction is Direction.UNDETERMINED and det_count > 0:
             direction = global_dir
 
-        evidence = {d: trace.spike_count(d, *window) for d in unit.detector_ids}
-        if handles.variant == "ddm":
-            ddms = handles.ddm_units[unit.index]
-            depth = read_depth(trace, ddms, direction, window, params.theta_active)
-            up, down = _assessing_counts(trace, ddms, window)
-            decisiveness = abs(up - down)
-            for ddm in ddms:
-                for nid in (ddm.g_left, ddm.g_right, ddm.a_up, ddm.a_down):
-                    evidence[nid] = trace.spike_count(nid, *window)
-        else:
-            bank = handles.judge_banks[unit.index]
-            depth = read_depth(trace, bank, direction, window, params.theta_active)
-            jc = sorted((trace.spike_count(j, *window) for j in bank.judge_ids),
-                        reverse=True)
-            decisiveness = jc[0] - jc[1]
-            for nid in bank.judge_ids:
-                evidence[nid] = trace.spike_count(nid, *window)
-
+        evidence = dict(zip(unit.detector_ids, det[best]))
+        evidence.update((nid, trace.spike_count(nid, *window))
+                        for nid in _depth_layer_ids(layer))
+        depth, decisiveness = read_depth(layer, evidence, direction, params.theta_active)
         readouts.append(CognitiveReadout(window=window, direction=direction,
                                          depth=depth, evidence=evidence,
                                          unit_index=unit.index,

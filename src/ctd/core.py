@@ -103,7 +103,7 @@ class InputPort:
 
 
 class CircuitGraph:
-    """Neurons, delayed signed synapses, and named injection/readout ports.
+    """Neurons, delayed signed synapses, and named injection ports.
 
     Mutable while circuit constructors run; treated as immutable afterwards.
     """
@@ -113,7 +113,6 @@ class CircuitGraph:
         self._roles: dict[str, str] = {}
         self.synapses: list[Synapse] = []
         self.input_ports: dict[str, InputPort] = {}
-        self.output_ports: dict[str, str] = {}
 
     @property
     def neuron_ids(self) -> tuple[str, ...]:
@@ -131,9 +130,6 @@ class CircuitGraph:
     def role_of(self, neuron_id: str) -> str:
         self.params_of(neuron_id)
         return self._roles[neuron_id]
-
-    def ids_with_role(self, role: str) -> tuple[str, ...]:
-        return tuple(i for i, r in self._roles.items() if r == role)
 
     def add_neuron(self, neuron_id: str, params: NeuronParams = NeuronParams(),
                    role: str = "") -> None:
@@ -158,13 +154,6 @@ class CircuitGraph:
             raise UnknownNeuron(neuron_id)
         self.input_ports[name] = InputPort(neuron_id, weight)
 
-    def add_output_port(self, name: str, neuron_id: str) -> None:
-        if name in self.output_ports:
-            raise DuplicatePort(name)
-        if neuron_id not in self._params:
-            raise UnknownNeuron(neuron_id)
-        self.output_ports[name] = neuron_id
-
 
 @dataclass(frozen=True)
 class Trace:
@@ -183,14 +172,10 @@ class Trace:
     def neuron_ids(self) -> tuple[str, ...]:
         return tuple(self.spikes)
 
-    def spike_count(self, neuron_id: str, t0: float | None = None,
-                    t1: float | None = None) -> int:
+    def spike_count(self, neuron_id: str, t0: float, t1: float) -> int:
+        """Spikes of one neuron in the half-open window [t0, t1)."""
         times = self.spikes[neuron_id]
-        if t0 is None and t1 is None:
-            return len(times)
-        lo = bisect.bisect_left(times, t0 if t0 is not None else 0.0)
-        hi = bisect.bisect_left(times, t1 if t1 is not None else self.duration + 1.0)
-        return hi - lo
+        return bisect.bisect_left(times, t1) - bisect.bisect_left(times, t0)
 
     def first_spike(self, neuron_id: str, t0: float, t1: float) -> float | None:
         times = self.spikes[neuron_id]

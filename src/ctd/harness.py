@@ -77,6 +77,22 @@ def _multi_spike_starts(times: Sequence[float], w: float) -> list[tuple[float, f
     return intervals
 
 
+def _any_overlap(a: Sequence[tuple[float, float]],
+                 b: Sequence[tuple[float, float]]) -> bool:
+    # Both lists are sorted and disjoint, so an interval that ends first
+    # cannot overlap anything later in the other list.
+    i = j = 0
+    while i < len(a) and j < len(b):
+        (lo1, hi1), (lo2, hi2) = a[i], b[j]
+        if max(lo1, lo2) < min(hi1, hi2):
+            return True
+        if hi1 <= hi2:
+            i += 1
+        else:
+            j += 1
+    return False
+
+
 def pdd_exclusivity_ok(trace: Trace, units: Sequence[PddUnit],
                        window_ms: float = EXCLUSIVITY_WINDOW_MS) -> bool:
     """True when no 10 ms window holds two multi-spiking detectors of one unit."""
@@ -85,10 +101,8 @@ def pdd_exclusivity_ok(trace: Trace, units: Sequence[PddUnit],
                    for d in unit.detector_ids]
         for i in range(len(per_det)):
             for j in range(i + 1, len(per_det)):
-                for lo1, hi1 in per_det[i]:
-                    for lo2, hi2 in per_det[j]:
-                        if max(lo1, lo2) < min(hi1, hi2):
-                            return False
+                if _any_overlap(per_det[i], per_det[j]):
+                    return False
     return True
 
 
@@ -122,14 +136,12 @@ class RunArtifacts:
     provenance: dict
 
 
-def _pick_pair(trace: Trace, unit: PddUnit,
-               window: tuple[float, float]) -> tuple[str, str] | None:
+def _pick_pair(unit: PddUnit, evidence: dict[str, int]) -> tuple[str, str] | None:
     # Equal pair counts mean only the shared middle detector carried activity,
     # so no single depth-module position is distinguished.
     d = unit.detector_ids
     pairs = ((d[0], d[1]), (d[1], d[2]))
-    counts = [trace.spike_count(a, *window) + trace.spike_count(b, *window)
-              for a, b in pairs]
+    counts = [evidence[a] + evidence[b] for a, b in pairs]
     if counts[0] == counts[1]:
         return None
     return pairs[0] if counts[0] > counts[1] else pairs[1]
@@ -141,7 +153,7 @@ def _correlation_depths(trace: Trace, handles: CtdHandles, scenario: Scenario,
     depths = []
     for r in readouts:
         unit = handles.pdd_units[r.unit_index]
-        pair = _pick_pair(trace, unit, r.window)
+        pair = _pick_pair(unit, r.evidence)
         if pair is None:
             depths.append(DepthState.M)
             continue
@@ -225,8 +237,7 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def emit_outputs(artifacts: RunArtifacts, out_dir: str | Path,
-                 potential_subsample: int = 1) -> list[Path]:
+def emit_outputs(artifacts: RunArtifacts, out_dir: str | Path) -> list[Path]:
     """Write spikes.csv, potentials.csv, states.csv and summary.json.
 
     Byte-identical across reruns of the same scenario and seed.
@@ -252,8 +263,8 @@ def emit_outputs(artifacts: RunArtifacts, out_dir: str | Path,
         writer.writerow(["time_ms", *trace.neuron_ids])
         # csv.writer formats a float with repr, as _fmt does. Converting one
         # row at a time keeps the Python floats of only that row alive.
-        for k in range(0, len(trace.potentials), max(1, potential_subsample)):
-            writer.writerow([float(k * trace.dt), *trace.potentials[k].tolist()])
+        for k, row in enumerate(trace.potentials):
+            writer.writerow([float(k * trace.dt), *row.tolist()])
     paths.append(potentials_path)
 
     states_path = out / "states.csv"

@@ -9,7 +9,6 @@ makes a straight pass read M.
 from __future__ import annotations
 
 import dataclasses
-import sys
 from pathlib import Path
 
 from .circuits import DepthState, Direction
@@ -75,6 +74,7 @@ def scripted_suite(variant: str = "ddm") -> list[Scenario]:
 
 
 def write_suite(directory: str | Path) -> list[Path]:
+    """Write the scripted suite, one `<name>.json` per scenario, as in `scenarios/`."""
     out = Path(directory)
     out.mkdir(parents=True, exist_ok=True)
     paths = []
@@ -83,9 +83,3 @@ def write_suite(directory: str | Path) -> list[Path]:
         path.write_text(emit_scenario(s))
         paths.append(path)
     return paths
-
-
-if __name__ == "__main__":
-    target = sys.argv[1] if len(sys.argv) > 1 else "scenarios"
-    written = write_suite(target)
-    print(f"wrote {len(written)} scenarios to {target}")

@@ -38,12 +38,6 @@ class SpikeTrain:
     def __len__(self) -> int:
         return len(self.times)
 
-    def count_between(self, t0: float, t1: float) -> int:
-        """Number of spikes in the half-open window [t0, t1)."""
-        lo = bisect.bisect_left(self.times, t0)
-        hi = bisect.bisect_left(self.times, t1)
-        return hi - lo
-
     def window(self, t0: float, t1: float) -> "SpikeTrain":
         """Spikes in [t0, t1), shifted so the window starts at 0."""
         lo = bisect.bisect_left(self.times, t0)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctd.circuits import (CtdParams, DEFAULT_JUDGE_MATRIX, DepthState, Direction,
                           build_ctd, build_ddm_unit, build_excitatory_loop_fixture,
@@ -11,6 +13,7 @@ from ctd.circuits import (CtdParams, DEFAULT_JUDGE_MATRIX, DepthState, Direction
                           classify, dominant_readout, read_depth, read_direction)
 from ctd.core import CircuitGraph, ConnectionKind, Trace, simulate
 from ctd.errors import BadArity, DuplicatePort, NegativeWeight, UnknownNeuron
+from ctd.harness import pdd_exclusivity_ok
 from ctd.world import SpikeTrain, encode_spikes
 
 P = CtdParams()
@@ -19,7 +22,7 @@ P = CtdParams()
 def _drive_pdd(rates: dict[int, float], duration: float = 1000.0,
                with_inhibition: bool = True):
     circuit = CircuitGraph()
-    unit = build_pdd_unit(circuit, ("s0", "s1", "s2"), P)
+    unit = build_pdd_unit(circuit, ("s0", "s1", "s2"), P, index=0)
     if not with_inhibition:
         circuit.synapses.clear()
     drive = {f"s{i}": encode_spikes(lambda t, r=r: r, duration, 1.0)
@@ -30,13 +33,13 @@ def _drive_pdd(rates: dict[int, float], duration: float = 1000.0,
 
 def test_pdd_unit_structure():
     circuit = CircuitGraph()
-    unit = build_pdd_unit(circuit, ("s0", "s1", "s2"), P)
+    unit = build_pdd_unit(circuit, ("s0", "s1", "s2"), P, index=0)
     assert len(circuit.neuron_ids) == 3
     assert len(circuit.synapses) == 6
     assert all(s.kind is ConnectionKind.INHIBITORY for s in circuit.synapses)
     assert set(circuit.input_ports) == {"s0", "s1", "s2"}
     with pytest.raises(DuplicatePort):
-        build_pdd_unit(circuit, ("s0", "x", "y"), P)
+        build_pdd_unit(circuit, ("s0", "x", "y"), P, index=1)
 
 
 def test_pdd_single_driven_detector_is_the_only_one_animated():
@@ -75,7 +78,7 @@ def _ddm_with_drive(rate_left: float, rate_right: float, duration: float = 1000.
     circuit.add_neuron("right", P.detector_neuron(), role="detector")
     circuit.add_input_port("L", "left", P.w_ext)
     circuit.add_input_port("R", "right", P.w_ext)
-    ddm = build_ddm_unit(circuit, "left", "right", P)
+    ddm = build_ddm_unit(circuit, "left", "right", P, index=0)
     drive = {"L": encode_spikes(lambda t: rate_left, duration, 1.0),
              "R": encode_spikes(lambda t: rate_right, duration, 1.0)}
     return ddm, simulate(circuit, drive, duration, 1.0)
@@ -86,11 +89,11 @@ def test_ddm_structure():
     circuit.add_neuron("left", P.detector_neuron())
     circuit.add_neuron("right", P.detector_neuron())
     before_n, before_s = len(circuit.neuron_ids), len(circuit.synapses)
-    build_ddm_unit(circuit, "left", "right", P)
+    build_ddm_unit(circuit, "left", "right", P, index=0)
     assert len(circuit.neuron_ids) - before_n == 4
     assert len(circuit.synapses) - before_s == 8
     with pytest.raises(UnknownNeuron):
-        build_ddm_unit(circuit, "left", "ghost", P)
+        build_ddm_unit(circuit, "left", "ghost", P, index=1)
 
 
 def test_ddm_right_heavy_drive_activates_upper_assessing_neuron():
@@ -113,13 +116,19 @@ def _double_spike_windows(times, width):
     return [(b - width, a) for a, b in zip(times, times[1:]) if b - a < width]
 
 
+def _exclusive_by_all_pairs(trains, width):
+    # Oracle: every double-spike interval of one train against every one of
+    # each other train.
+    intervals = [_double_spike_windows(t, width) for t in trains]
+    return not any(max(lo1, lo2) < min(hi1, hi2)
+                   for i, a in enumerate(intervals) for b in intervals[i + 1:]
+                   for lo1, hi1 in a for lo2, hi2 in b)
+
+
 def test_regulatory_pair_never_doubles_up_in_close_race():
     ddm, trace = _ddm_with_drive(180.0, 170.0)
-    left_iv = _double_spike_windows(trace.spikes[ddm.g_left], 10.0)
-    right_iv = _double_spike_windows(trace.spikes[ddm.g_right], 10.0)
-    for lo1, hi1 in left_iv:
-        for lo2, hi2 in right_iv:
-            assert max(lo1, lo2) >= min(hi1, hi2)
+    assert _exclusive_by_all_pairs(
+        (trace.spikes[ddm.g_left], trace.spikes[ddm.g_right]), 10.0)
 
 
 def test_build_ctd_structural_counts():
@@ -142,7 +151,7 @@ def test_build_ctd_structural_counts():
 
 def test_judge_bank_zero_matrix_never_fires():
     circuit = CircuitGraph()
-    unit = build_pdd_unit(circuit, ("s0", "s1", "s2"), P)
+    unit = build_pdd_unit(circuit, ("s0", "s1", "s2"), P, index=0)
     bank = build_judge_bank(circuit, unit, [[0.0] * 3] * 3, P)
     drive = {"s1": encode_spikes(lambda t: 180.0, 500.0, 1.0)}
     trace = simulate(circuit, drive, 500.0, 1.0)
@@ -151,7 +160,7 @@ def test_judge_bank_zero_matrix_never_fires():
 
 def test_judge_bank_suprathreshold_diagonal_relays_its_detector():
     circuit = CircuitGraph()
-    unit = build_pdd_unit(circuit, ("s0", "s1", "s2"), P)
+    unit = build_pdd_unit(circuit, ("s0", "s1", "s2"), P, index=0)
     diagonal = [[2.0 if i == j else 0.0 for j in range(3)] for i in range(3)]
     bank = build_judge_bank(circuit, unit, diagonal, P)
     drive = {"s1": encode_spikes(lambda t: 50.0, 1000.0, 1.0)}
@@ -166,7 +175,7 @@ def test_judge_bank_suprathreshold_diagonal_relays_its_detector():
 
 def test_judge_bank_rejects_negative_weights():
     circuit = CircuitGraph()
-    unit = build_pdd_unit(circuit, ("s0", "s1", "s2"), P)
+    unit = build_pdd_unit(circuit, ("s0", "s1", "s2"), P, index=0)
     with pytest.raises(NegativeWeight):
         build_judge_bank(circuit, unit, [[0.0, 0.0, -0.1]] + [[0.0] * 3] * 2, P)
 
@@ -179,7 +188,7 @@ def _trace_with_first_spikes(ids, firsts) -> Trace:
 
 def test_read_direction_orderings():
     circuit = CircuitGraph()
-    unit = build_pdd_unit(circuit, ("s0", "s1", "s2"), P)
+    unit = build_pdd_unit(circuit, ("s0", "s1", "s2"), P, index=0)
     ids = unit.detector_ids
     window = (0.0, 1000.0)
     t = _trace_with_first_spikes(ids, (100.0, 180.0, 260.0))
@@ -194,40 +203,56 @@ def test_read_direction_orderings():
     assert read_direction(t, unit, window) is Direction.UNDETERMINED
 
 
-def _ddm_trace(up_times, down_times):
+def _ddm_counts(up: int, down: int):
     circuit = CircuitGraph()
     circuit.add_neuron("l", P.detector_neuron())
     circuit.add_neuron("r", P.detector_neuron())
-    ddm = build_ddm_unit(circuit, "l", "r", P)
-    spikes = {nid: () for nid in circuit.neuron_ids}
-    spikes[ddm.a_up] = tuple(up_times)
-    spikes[ddm.a_down] = tuple(down_times)
-    trace = Trace(dt=1.0, duration=1000.0, spikes=spikes,
-                  potentials=np.zeros((1000, len(spikes))))
-    return ddm, trace
+    ddm = build_ddm_unit(circuit, "l", "r", P, index=0)
+    counts = {nid: 0 for nid in circuit.neuron_ids}
+    counts[ddm.a_up] = up
+    counts[ddm.a_down] = down
+    return (ddm,), counts
 
 
 def test_read_depth_mapping_table():
-    window = (0.0, 1000.0)
-    ddm, trace = _ddm_trace((), ())
-    assert read_depth(trace, ddm, Direction.LEFT_TO_RIGHT, window) is DepthState.M
+    layer, counts = _ddm_counts(0, 0)
+    assert read_depth(layer, counts, Direction.LEFT_TO_RIGHT) == (DepthState.M, 0)
 
-    busy = tuple(float(10 * k) for k in range(1, 8))
-    ddm, trace = _ddm_trace(busy, ())
-    assert read_depth(trace, ddm, Direction.LEFT_TO_RIGHT, window) is DepthState.N
-    assert read_depth(trace, ddm, Direction.RIGHT_TO_LEFT, window) is DepthState.F
-    assert read_depth(trace, ddm, Direction.UNDETERMINED, window) is DepthState.M
+    layer, counts = _ddm_counts(7, 0)
+    assert read_depth(layer, counts, Direction.LEFT_TO_RIGHT) == (DepthState.N, 7)
+    assert read_depth(layer, counts, Direction.RIGHT_TO_LEFT) == (DepthState.F, 7)
+    assert read_depth(layer, counts, Direction.UNDETERMINED) == (DepthState.M, 7)
 
-    ddm, trace = _ddm_trace((), busy)
-    assert read_depth(trace, ddm, Direction.LEFT_TO_RIGHT, window) is DepthState.F
-    assert read_depth(trace, ddm, Direction.RIGHT_TO_LEFT, window) is DepthState.N
+    layer, counts = _ddm_counts(0, 7)
+    assert read_depth(layer, counts, Direction.LEFT_TO_RIGHT) == (DepthState.F, 7)
+    assert read_depth(layer, counts, Direction.RIGHT_TO_LEFT) == (DepthState.N, 7)
 
-    ddm, trace = _ddm_trace(busy, busy)  # 7 vs 7 tie
-    assert read_depth(trace, ddm, Direction.LEFT_TO_RIGHT, window) is DepthState.M
+    layer, counts = _ddm_counts(7, 7)  # tie
+    assert read_depth(layer, counts, Direction.LEFT_TO_RIGHT) == (DepthState.M, 0)
 
-    ddm, trace = _ddm_trace((10.0,), ())  # below theta_active
-    assert read_depth(trace, ddm, Direction.LEFT_TO_RIGHT, window,
-                      theta_active=2) is DepthState.M
+    layer, counts = _ddm_counts(1, 0)  # below theta_active
+    assert read_depth(layer, counts, Direction.LEFT_TO_RIGHT,
+                      theta_active=2) == (DepthState.M, 1)
+
+    # A unit's two modules pool their assessing counts.
+    circuit, handles = build_ctd(3, "ddm", P)
+    pair = handles.depth_layers[0]
+    counts = {nid: 0 for nid in circuit.neuron_ids}
+    counts[pair[0].a_up], counts[pair[1].a_up], counts[pair[1].a_down] = 2, 2, 3
+    assert read_depth(pair, counts, Direction.LEFT_TO_RIGHT) == (DepthState.N, 1)
+
+
+def test_read_depth_judge_argmax():
+    circuit, handles = build_ctd(3, "weights", P)
+    bank = handles.depth_layers[0]
+    n, m, f = bank.judge_ids
+    for judged, expected in (((5, 2, 1), (DepthState.N, 3)),
+                             ((1, 4, 0), (DepthState.M, 3)),
+                             ((0, 2, 6), (DepthState.F, 4)),
+                             ((3, 0, 3), (DepthState.M, 0)),
+                             ((0, 0, 0), (DepthState.M, 0))):
+        counts = dict(zip((n, m, f), judged))
+        assert read_depth(bank, counts, Direction.LEFT_TO_RIGHT) == expected
 
 
 def test_classify_empty_trace_reads_undetermined_m_everywhere():
@@ -248,7 +273,7 @@ def test_ddm_firing_stops_quickly_after_drive_ends():
     circuit.add_neuron("right", P.detector_neuron(), role="detector")
     circuit.add_input_port("L", "left", P.w_ext)
     circuit.add_input_port("R", "right", P.w_ext)
-    ddm = build_ddm_unit(circuit, "left", "right", P)
+    ddm = build_ddm_unit(circuit, "left", "right", P, index=0)
     drive = {"R": encode_spikes(lambda t: 170.0 if t < 1000.0 else 0.0,
                                 1500.0, 1.0)}
     trace = simulate(circuit, drive, 1500.0, 1.0)
@@ -275,10 +300,33 @@ def test_default_judge_matrix_shape():
 def test_regulatory_exclusivity_across_the_scripted_suite(suite_runs):
     runs, _ = suite_runs
     for _, a in runs:
-        for pair in a.handles.ddm_units:
+        for pair in a.handles.depth_layers:
             for ddm in pair:
-                left_iv = _double_spike_windows(a.trace.spikes[ddm.g_left], 10.0)
-                right_iv = _double_spike_windows(a.trace.spikes[ddm.g_right], 10.0)
-                for lo1, hi1 in left_iv:
-                    for lo2, hi2 in right_iv:
-                        assert max(lo1, lo2) >= min(hi1, hi2)
+                assert _exclusive_by_all_pairs(
+                    (a.trace.spikes[ddm.g_left], a.trace.spikes[ddm.g_right]), 10.0)
+
+
+def test_readouts_are_decided_from_their_evidence_alone(suite_compares):
+    compares, _ = suite_compares
+    for scenario, comparison in compares:
+        theta = scenario.ctd_params().theta_active
+        for a in (comparison.ddm, comparison.weights):
+            for r in a.readouts:
+                layer = a.handles.depth_layers[r.unit_index]
+                assert (r.depth, r.decisiveness) == read_depth(
+                    layer, r.evidence, r.direction, theta)
+
+
+_detector_train = st.lists(st.integers(0, 100), unique=True).map(
+    lambda ks: tuple(0.5 * k for k in sorted(ks)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_detector_train, min_size=3, max_size=3),
+       st.sampled_from([1.0, 2.5, 10.0]))
+def test_pdd_exclusivity_matches_all_pairs_oracle(trains, width):
+    circuit = CircuitGraph()
+    unit = build_pdd_unit(circuit, ("s0", "s1", "s2"), P, index=0)
+    trace = Trace(dt=0.5, duration=51.0, spikes=dict(zip(unit.detector_ids, trains)),
+                  potentials=np.zeros((1, 3)))
+    assert pdd_exclusivity_ok(trace, [unit], width) == _exclusive_by_all_pairs(trains, width)

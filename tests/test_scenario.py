@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,7 +12,7 @@ from hypothesis import given, strategies as st
 from ctd.errors import CtdError, ParseError, UnknownKey, ValidationError
 from ctd.scenario import (OVERRIDE_KEYS, Scenario, default_fan_config,
                           emit_scenario, parse_scenario)
-from ctd.suite import scripted_suite
+from ctd.suite import scripted_suite, write_suite
 from ctd.world import Approach, Encoding, SensorSpec, Waypoints
 
 
@@ -80,6 +81,15 @@ def test_explicit_sensor_lists_round_trip(sensors):
 def test_scripted_suite_round_trips():
     for s in scripted_suite():
         assert parse_scenario(emit_scenario(s)) == s
+
+
+def test_write_suite_reproduces_the_committed_scenarios(tmp_path):
+    committed = Path(__file__).resolve().parents[1] / "scenarios"
+    written = write_suite(tmp_path)
+    assert sorted(p.name for p in written) == sorted(
+        p.name for p in committed.glob("*.json"))
+    for path in written:
+        assert path.read_bytes() == (committed / path.name).read_bytes()
 
 
 def test_unknown_keys_are_rejected():

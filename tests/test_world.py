@@ -28,7 +28,7 @@ def test_spike_train_validation():
     with pytest.raises(ValueError):
         SpikeTrain((-1.0,))
     train = SpikeTrain((1.0, 5.0, 9.0))
-    assert train.count_between(1.0, 9.0) == 2
+    assert len(train.window(1.0, 9.0)) == 2
     assert train.window(4.0, 10.0).times == (1.0, 5.0)
 
 
