@@ -2,8 +2,9 @@
 
 Every quantity keeps the file's units, angles in degrees included; sensors and
 the robot pose derive radians where sensing needs them, so parse -> emit ->
-parse is lossless. All invariants are checked where the values are held:
-sensor fields in SensorSpec, the rest in Scenario.
+parse is lossless. The key tables below declare the file format once, for
+parsing and emission alike. All invariants are checked where the values are
+held: sensor fields in SensorSpec, the rest in Scenario.
 """
 
 from __future__ import annotations
@@ -22,6 +23,14 @@ from .world import (Approach, Encoding, Pose, Recede, SensorSpec, Tangent,
 
 _TOP_KEYS = {"name", "time", "seed", "encoding", "robot", "sensors",
              "trajectory", "circuit", "overrides", "expect"}
+# File key -> field, per object. Parsing and emission both read these tables.
+_SECTIONS = {"time": {"dt_ms": "dt_ms", "duration_ms": "duration_ms"},
+             "robot": {"x": "robot_x", "y": "robot_y", "heading_deg": "robot_heading_deg"}}
+_SEGMENT_KEYS = {"from": "start", "to": "goal", "speed_mps": "speed_mps"}
+_TRAJECTORY_KEYS = {"approach": _SEGMENT_KEYS, "recede": _SEGMENT_KEYS,
+                    "tangent": {"closest": "closest", "velocity_mps": "velocity_mps",
+                                "t_center_ms": "t_center_ms"},
+                    "waypoints": {"points": "points"}}
 
 _CTD_KEYS = {f.name for f in dataclasses.fields(CtdParams)}
 _CORR_KEYS = {"corr_" + f.name for f in dataclasses.fields(CorrelationParams)}
@@ -53,26 +62,21 @@ def canonical_trajectory(kind: str, duration_ms: float, speed: float = 0.5,
 
     Approach: left-to-right sweep aimed inward, ending at the given distance
     just left of the heading axis. Recede: its outbound counterpart starting
-    just right of the axis. Tangent: horizontal pass at the given offset,
-    closest to the robot mid-run. The offset is the closest-approach distance.
+    just right of the axis. Both run along the line from that near point, 15
+    degrees off the axis, toward a far anchor at 35 degrees and 2.3 m.
+    Tangent: horizontal pass at the given offset, closest to the robot mid-run.
+    The offset is the closest-approach distance.
     """
     travel = speed * duration_ms / 1000.0
-    if kind == "approach":
-        goal = _bearing_point(-15.0, 0.5 if offset is None else offset)
-        anchor = _bearing_point(-35.0, 2.3)
-        dx, dy = goal[0] - anchor[0], goal[1] - anchor[1]
+    if kind in ("approach", "recede"):
+        side = -1.0 if kind == "approach" else 1.0
+        near = _bearing_point(side * 15.0, 0.5 if offset is None else offset)
+        far = _bearing_point(side * 35.0, 2.3)
+        dx, dy = far[0] - near[0], far[1] - near[1]
         length = math.hypot(dx, dy)
-        start = (goal[0] - dx / length * travel, goal[1] - dy / length * travel)
-        return Approach(start=start, goal=goal, speed_mps=speed,
-                        duration_ms=duration_ms)
-    if kind == "recede":
-        start = _bearing_point(15.0, 0.5 if offset is None else offset)
-        anchor = _bearing_point(35.0, 2.3)
-        dx, dy = anchor[0] - start[0], anchor[1] - start[1]
-        length = math.hypot(dx, dy)
-        goal = (start[0] + dx / length * travel, start[1] + dy / length * travel)
-        return Recede(start=start, goal=goal, speed_mps=speed,
-                      duration_ms=duration_ms)
+        out = (near[0] + dx / length * travel, near[1] + dy / length * travel)
+        cls, start, goal = (Approach, out, near) if side < 0 else (Recede, near, out)
+        return cls(start=start, goal=goal, speed_mps=speed, duration_ms=duration_ms)
     if kind == "tangent":
         return Tangent(closest=(0.0, 1.0 if offset is None else offset),
                        velocity_mps=(speed, 0.0),
@@ -108,9 +112,14 @@ class Scenario:
         if steps == math.inf or abs(round(steps) * self.dt_ms - self.duration_ms) > 1e-9:
             raise ValidationError(f"time.dt_ms {self.dt_ms!r} must divide "
                                   f"time.duration_ms {self.duration_ms!r}")
+        trajectory = _trajectory_to_json(self.trajectory)
+        speed = trajectory.get("speed_mps")
+        if speed is not None and not 0.0 < speed < math.inf:
+            raise ValidationError(
+                f"trajectory.speed_mps must be positive and finite, got {speed!r}")
         for key, value in (("robot.x", self.robot_x), ("robot.y", self.robot_y),
                            ("robot.heading_deg", self.robot_heading_deg),
-                           *_numbers(_trajectory_to_json(self.trajectory), "trajectory")):
+                           *_numbers(trajectory, "trajectory")):
             if not math.isfinite(value):
                 raise ValidationError(f"{key} must be finite, got {value!r}")
         if len(self.sensors) == 0 or len(self.sensors) % 3 != 0:
@@ -172,10 +181,9 @@ def _require_keys(obj: dict, allowed: set[str], where: str) -> None:
             raise UnknownKey(f"{where}: unknown key {key!r}")
 
 
-def _number(obj: dict, key: str, default: float, where: str) -> float:
-    value = obj.get(key, default)
+def _number(value: Any, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{where}.{key} must be a number, got {value!r}")
+        raise ValidationError(f"{where} must be a number, got {value!r}")
     return float(value)
 
 
@@ -186,59 +194,42 @@ def _point(value: Any, where: str) -> tuple[float, float]:
     return (float(value[0]), float(value[1]))
 
 
+def _knots(value: Any) -> tuple[tuple[float, tuple[float, float]], ...]:
+    if not isinstance(value, list) or not value:
+        raise ValidationError("trajectory.points must be a nonempty list")
+    knots = []
+    for i, entry in enumerate(value):
+        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+            raise ValidationError(f"trajectory.points[{i}] must be [t_ms, [x, y]], "
+                                  f"got {entry!r}")
+        knots.append((_number(entry[0], f"trajectory.points[{i}][0]"),
+                      _point(entry[1], f"trajectory.points[{i}][1]")))
+    return tuple(knots)
+
+
 def _parse_trajectory(obj: Any, duration_ms: float) -> Trajectory:
+    """A key the object leaves out takes canonical_trajectory's value."""
     if not isinstance(obj, dict):
         raise ValidationError("trajectory must be an object")
     kind = obj.get("kind")
-    if kind in ("approach", "recede"):
-        _require_keys(obj, {"kind", "from", "to", "speed_mps"}, "trajectory")
-        default = canonical_trajectory(kind, duration_ms)
-        speed = _number(obj, "speed_mps", default.speed_mps, "trajectory")
-        if not 0.0 < speed < math.inf:
-            raise ValidationError(
-                f"trajectory.speed_mps must be positive and finite, got {speed!r}")
-        travel = speed * duration_ms / 1000.0
-        if kind == "approach":
-            goal = _point(obj["to"], "trajectory.to") if "to" in obj else default.goal
-            start = (_point(obj["from"], "trajectory.from") if "from" in obj
-                     else (goal[0] - travel, goal[1]))
-            return Approach(start=start, goal=goal, speed_mps=speed,
-                            duration_ms=duration_ms)
-        start = (_point(obj["from"], "trajectory.from") if "from" in obj
-                 else default.start)
-        goal = (_point(obj["to"], "trajectory.to") if "to" in obj
-                else (start[0] + travel, start[1]))
-        return Recede(start=start, goal=goal, speed_mps=speed, duration_ms=duration_ms)
-    if kind == "tangent":
-        _require_keys(obj, {"kind", "closest", "velocity_mps", "t_center_ms"},
-                      "trajectory")
-        default = canonical_trajectory("tangent", duration_ms)
-        closest = (_point(obj["closest"], "trajectory.closest")
-                   if "closest" in obj else default.closest)
-        velocity = (_point(obj["velocity_mps"], "trajectory.velocity_mps")
-                    if "velocity_mps" in obj else default.velocity_mps)
-        t_center = _number(obj, "t_center_ms", duration_ms / 2.0, "trajectory")
-        return Tangent(closest=closest, velocity_mps=velocity,
-                       t_center_ms=t_center, duration_ms=duration_ms)
+    if not isinstance(kind, str) or kind not in _TRAJECTORY_KEYS:
+        raise ValidationError(f"unknown trajectory kind {kind!r}")
+    keys = _TRAJECTORY_KEYS[kind]
+    _require_keys(obj, {"kind", *keys}, "trajectory")
     if kind == "waypoints":
-        _require_keys(obj, {"kind", "points"}, "trajectory")
-        raw = obj.get("points")
-        if not isinstance(raw, list) or not raw:
-            raise ValidationError("trajectory.points must be a nonempty list")
-        points = []
-        for entry in raw:
-            if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-                raise ValidationError(
-                    f"waypoint entries are [t_ms, [x, y]], got {entry!r}")
-            t, p = entry
-            if isinstance(t, bool) or not isinstance(t, (int, float)):
-                raise ValidationError(f"waypoint time must be a number, got {t!r}")
-            points.append((float(t), _point(p, "waypoint")))
         try:
-            return Waypoints(points=tuple(points), duration_ms=duration_ms)
+            return Waypoints(points=_knots(obj.get("points")), duration_ms=duration_ms)
         except ValueError as exc:
             raise ValidationError(str(exc)) from None
-    raise ValidationError(f"unknown trajectory kind {kind!r}")
+    default = canonical_trajectory(kind, duration_ms)
+    given = {}
+    for key, name in keys.items():
+        if key in obj:
+            read = _point if isinstance(getattr(default, name), tuple) else _number
+            given[name] = read(obj[key], f"trajectory.{key}")
+    if "speed_mps" in given:
+        default = canonical_trajectory(kind, duration_ms, given["speed_mps"])
+    return dataclasses.replace(default, **given)
 
 
 def _parse_sensors(obj: Any) -> tuple[SensorSpec, ...]:
@@ -258,7 +249,7 @@ def _parse_sensors(obj: Any) -> tuple[SensorSpec, ...]:
         _require_keys(entry, _SENSOR_KEYS, where)
         if "mount_deg" not in entry:
             raise ValidationError(f"{where} is missing mount_deg")
-        values = {key: _number(entry, key, 0.0, where) for key in entry}
+        values = {key: _number(value, f"{where}.{key}") for key, value in entry.items()}
         try:
             sensors.append(SensorSpec(**values))
         except ValidationError as exc:
@@ -274,8 +265,21 @@ def _parse_int(digits: str) -> int:
     return int(digits)
 
 
+def _section(doc: dict, name: str) -> dict[str, float]:
+    obj = doc.get(name, {})
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{name} must be an object")
+    keys = _SECTIONS[name]
+    _require_keys(obj, keys, name)
+    return {keys[key]: _number(value, f"{name}.{key}") for key, value in obj.items()}
+
+
 def parse_scenario(text: str) -> Scenario:
-    """Parse and validate one scenario document; every failure is structured."""
+    """Parse and validate one scenario document; every failure is structured.
+
+    A key the document leaves out is not passed, so it takes Scenario's
+    default; a trajectory key takes canonical_trajectory's.
+    """
     try:
         doc = json.loads(text, parse_int=_parse_int)
     except json.JSONDecodeError as exc:
@@ -283,57 +287,38 @@ def parse_scenario(text: str) -> Scenario:
     if not isinstance(doc, dict):
         raise ValidationError("scenario document must be a JSON object")
     _require_keys(doc, _TOP_KEYS, "scenario")
+    given: dict[str, Any] = {**_section(doc, "time"), **_section(doc, "robot")}
 
-    time_obj = doc.get("time", {})
-    if not isinstance(time_obj, dict):
-        raise ValidationError("time must be an object")
-    _require_keys(time_obj, {"dt_ms", "duration_ms"}, "time")
-    dt_ms = _number(time_obj, "dt_ms", 1.0, "time")
-    duration_ms = _number(time_obj, "duration_ms", 5000.0, "time")
-
-    name = doc.get("name", "scenario")
-    if not isinstance(name, str):
-        raise ValidationError(f"name must be a string, got {name!r}")
-
-    seed = doc.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ValidationError(f"seed must be an integer, got {seed!r}")
-
-    encoding_raw = doc.get("encoding", "deterministic")
-    try:
-        encoding = Encoding(encoding_raw)
-    except ValueError:
-        raise ValidationError(f"unknown encoding {encoding_raw!r}") from None
-
-    robot_obj = doc.get("robot", {})
-    if not isinstance(robot_obj, dict):
-        raise ValidationError("robot must be an object")
-    _require_keys(robot_obj, {"x", "y", "heading_deg"}, "robot")
-
-    sensors = (_parse_sensors(doc["sensors"]) if "sensors" in doc
-               else default_fan_config(6))
-
-    traj_obj = doc.get("trajectory", {"kind": "approach"})
-    trajectory = _parse_trajectory(traj_obj, duration_ms)
-
-    overrides_obj = doc.get("overrides", {})
-    if not isinstance(overrides_obj, dict):
-        raise ValidationError("overrides must be an object")
-    overrides = {key: _number(overrides_obj, key, 0.0, "overrides")
-                 for key in overrides_obj}
-
-    expect = doc.get("expect")
-    if expect is not None and not isinstance(expect, dict):
-        raise ValidationError("expect must be an object")
-
-    return Scenario(name=name, dt_ms=dt_ms, duration_ms=duration_ms, seed=seed,
-                    encoding=encoding,
-                    robot_x=_number(robot_obj, "x", 0.0, "robot"),
-                    robot_y=_number(robot_obj, "y", 0.0, "robot"),
-                    robot_heading_deg=_number(robot_obj, "heading_deg", 90.0, "robot"),
-                    sensors=sensors, trajectory=trajectory,
-                    variant=doc.get("circuit", "ddm"),
-                    overrides=overrides, expect=expect)
+    if "name" in doc:
+        given["name"] = doc["name"]
+        if not isinstance(given["name"], str):
+            raise ValidationError(f"name must be a string, got {given['name']!r}")
+    if "seed" in doc:
+        given["seed"] = doc["seed"]
+        if isinstance(given["seed"], bool) or not isinstance(given["seed"], int):
+            raise ValidationError(f"seed must be an integer, got {given['seed']!r}")
+    if "encoding" in doc:
+        try:
+            given["encoding"] = Encoding(doc["encoding"])
+        except ValueError:
+            raise ValidationError(f"unknown encoding {doc['encoding']!r}") from None
+    if "sensors" in doc:
+        given["sensors"] = _parse_sensors(doc["sensors"])
+    if "circuit" in doc:
+        given["variant"] = doc["circuit"]
+    if "overrides" in doc:
+        if not isinstance(doc["overrides"], dict):
+            raise ValidationError("overrides must be an object")
+        given["overrides"] = {key: _number(value, f"overrides.{key}")
+                              for key, value in doc["overrides"].items()}
+    if "expect" in doc:
+        given["expect"] = doc["expect"]
+        if given["expect"] is not None and not isinstance(given["expect"], dict):
+            raise ValidationError("expect must be an object")
+    given["trajectory"] = _parse_trajectory(
+        doc.get("trajectory", {"kind": "approach"}),
+        given.get("duration_ms", Scenario.duration_ms))
+    return Scenario(**given)
 
 
 # --------------------------------------------------------------------------
@@ -352,28 +337,22 @@ def _numbers(value: Any, where: str) -> Iterator[tuple[str, float]]:
         yield where, value
 
 
+def _to_json(value: Any) -> Any:
+    return [_to_json(item) for item in value] if isinstance(value, tuple) else value
+
+
 def _trajectory_to_json(traj: Trajectory) -> dict[str, Any]:
-    if isinstance(traj, (Approach, Recede)):
-        return {"kind": traj.kind, "from": list(traj.start), "to": list(traj.goal),
-                "speed_mps": traj.speed_mps}
-    if isinstance(traj, Tangent):
-        return {"kind": traj.kind, "closest": list(traj.closest),
-                "velocity_mps": list(traj.velocity_mps),
-                "t_center_ms": traj.t_center_ms}
-    if isinstance(traj, Waypoints):
-        return {"kind": traj.kind,
-                "points": [[t, list(p)] for t, p in traj.points]}
-    raise TypeError(f"unsupported trajectory {traj!r}")
+    return {"kind": traj.kind, **{key: _to_json(getattr(traj, name)) for key, name
+                                  in _TRAJECTORY_KEYS[traj.kind].items()}}
 
 
 def scenario_to_json(s: Scenario) -> dict[str, Any]:
     doc: dict[str, Any] = {
         "name": s.name,
-        "time": {"dt_ms": s.dt_ms, "duration_ms": s.duration_ms},
+        **{section: {key: getattr(s, name) for key, name in keys.items()}
+           for section, keys in _SECTIONS.items()},
         "seed": s.seed,
         "encoding": s.encoding.value,
-        "robot": {"x": s.robot_x, "y": s.robot_y,
-                  "heading_deg": s.robot_heading_deg},
         "sensors": [{key: getattr(c, key) for key in sorted(_SENSOR_KEYS)}
                     for c in s.sensors],
         "trajectory": _trajectory_to_json(s.trajectory),

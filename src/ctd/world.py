@@ -314,12 +314,7 @@ def sense_scenario(robot: Pose, sensors: Sequence[SensorSpec], traj: Trajectory,
 # --------------------------------------------------------------------------
 
 def mirror_point(robot: Pose, p: Point) -> Point:
-    ch, sh = _snapped_trig(robot.heading)
-    dx = p[0] - robot.x
-    dy = p[1] - robot.y
-    dot = dx * ch + dy * sh
-    rx = 2.0 * dot * ch - dx
-    ry = 2.0 * dot * sh - dy
+    rx, ry = mirror_vector(robot, (p[0] - robot.x, p[1] - robot.y))
     return (robot.x + rx, robot.y + ry)
 
 
@@ -330,17 +325,14 @@ def mirror_vector(robot: Pose, v: Point) -> Point:
 
 
 def mirror_trajectory(robot: Pose, traj: Trajectory) -> Trajectory:
-    if isinstance(traj, (Approach, Recede)):
-        cls = type(traj)
-        return cls(start=mirror_point(robot, traj.start), goal=mirror_point(robot, traj.goal),
-                   speed_mps=traj.speed_mps, duration_ms=traj.duration_ms)
+    if isinstance(traj, _SegmentPath):
+        return replace(traj, start=mirror_point(robot, traj.start),
+                       goal=mirror_point(robot, traj.goal))
     if isinstance(traj, Tangent):
-        return Tangent(closest=mirror_point(robot, traj.closest),
-                       velocity_mps=mirror_vector(robot, traj.velocity_mps),
-                       t_center_ms=traj.t_center_ms, duration_ms=traj.duration_ms)
+        return replace(traj, closest=mirror_point(robot, traj.closest),
+                       velocity_mps=mirror_vector(robot, traj.velocity_mps))
     if isinstance(traj, Waypoints):
-        return Waypoints(points=tuple((t, mirror_point(robot, p)) for t, p in traj.points),
-                         duration_ms=traj.duration_ms)
+        return replace(traj, points=tuple((t, mirror_point(robot, p)) for t, p in traj.points))
     raise TypeError(f"unsupported trajectory {traj!r}")
 
 
