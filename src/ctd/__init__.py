@@ -2,8 +2,10 @@
 
 Direction comes from ternary rings of mutually inhibiting detectors (PDD);
 depth (approaching N, straight M, receding F) comes either from cascaded
-4-neuron depth modules (DDM) or from a weight-tuned judge bank, with a signed
-cross-correlation classifier as an independent analytic cross-check.
+4-neuron depth modules (DDM) or from a weight-tuned judge bank. An independent
+analytic cross-check thresholds the peak normalised cross-correlation of a
+detector pair and the two detectors' rates; `signed_xcorr` is the
+sign-algebra primitive, which that check does not apply.
 """
 
 from .circuits import (CognitiveReadout, CtdHandles, CtdParams,

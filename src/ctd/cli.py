@@ -14,10 +14,26 @@ from .scenario import Scenario, parse_scenario
 
 
 def _load(path: Path, seed: int | None) -> Scenario:
-    scenario = parse_scenario(path.read_text())
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise CtdError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise CtdError(f"cannot read {path}: not UTF-8 text "
+                       f"({exc.reason} at byte {exc.start})") from None
+    scenario = parse_scenario(text)
     if seed is not None:
         scenario = dataclasses.replace(scenario, seed=seed)
     return scenario
+
+
+def _out_dir(path: Path) -> Path:
+    """Create the output directory before any work is done."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CtdError(f"cannot create output directory {path}: {exc.strerror}") from None
+    return path
 
 
 def _summary_line(artifacts: RunArtifacts) -> str:
@@ -29,8 +45,9 @@ def _summary_line(artifacts: RunArtifacts) -> str:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     scenario = _load(args.scenario_file, args.seed)
+    out = _out_dir(args.out)
     artifacts = run_scenario(scenario)
-    emit_outputs(artifacts, args.out)
+    emit_outputs(artifacts, out)
     print(_summary_line(artifacts))
     for name, ok in artifacts.assertions.items():
         print(f"  {name}: {'pass' if ok else 'FAIL'}")
@@ -39,8 +56,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     scenario = _load(args.scenario_file, args.seed)
+    out = _out_dir(args.out)
     comparison = compare_variants(scenario)
-    out = Path(args.out)
     emit_outputs(comparison.ddm, out / "ddm")
     emit_outputs(comparison.weights, out / "weights")
     md, mw = comparison.ddm.metrics, comparison.weights.metrics
@@ -65,12 +82,22 @@ def _cmd_suite(args: argparse.Namespace) -> int:
     if not files:
         print(f"no scenario files in {args.scenario_dir}", file=sys.stderr)
         return 2
-    out = Path(args.out)
+    # Each run writes to the directory named after its scenario, so two files
+    # with one name would overwrite each other.
+    paths: dict[str, Path] = {}
+    scenarios = []
+    for path in files:
+        scenario = _load(path, args.seed)
+        if scenario.name in paths:
+            raise CtdError(f"{paths[scenario.name]} and {path} both name "
+                           f"scenario {scenario.name!r}")
+        paths[scenario.name] = path
+        scenarios.append(scenario)
+    out = _out_dir(args.out)
     all_ok = True
     results = {}
     calibration = {}
-    for path in files:
-        scenario = _load(path, args.seed)
+    for scenario in scenarios:
         comparison = compare_variants(scenario)
         artifacts = (comparison.ddm if scenario.variant == "ddm"
                      else comparison.weights)
@@ -95,7 +122,6 @@ def _cmd_suite(args: argparse.Namespace) -> int:
                     print(f"       failed: {name}")
     agree = sum(c["agree_windows"] for c in calibration.values())
     windows = sum(c["windows"] for c in calibration.values())
-    out.mkdir(parents=True, exist_ok=True)
     (out / "suite_summary.json").write_text(json.dumps(
         {"all_passed": all_ok, "results": results,
          "calibration": {"agreement": agree / windows, "scenarios": calibration}},

@@ -24,6 +24,7 @@ from .world import (Approach, Encoding, Pose, Recede, SensorSpec, Tangent,
 _TOP_KEYS = {"name", "time", "seed", "encoding", "robot", "sensors",
              "trajectory", "circuit", "overrides", "expect"}
 # File key -> field, per object. Parsing and emission both read these tables.
+_PLAIN_KEYS = {"name": "name", "seed": "seed", "circuit": "variant"}
 _SECTIONS = {"time": {"dt_ms": "dt_ms", "duration_ms": "duration_ms"},
              "robot": {"x": "robot_x", "y": "robot_y", "heading_deg": "robot_heading_deg"}}
 _SEGMENT_KEYS = {"from": "start", "to": "goal", "speed_mps": "speed_mps"}
@@ -104,6 +105,14 @@ class Scenario:
     expect: dict[str, str] | None = None
 
     def __post_init__(self) -> None:
+        # The name becomes a directory of `ctd suite`'s output.
+        if not isinstance(self.name, str):
+            raise ValidationError(f"name must be a string, got {self.name!r}")
+        if self.name in ("", ".", "..") or any(c in self.name for c in "/\\\0"):
+            raise ValidationError(f"name {self.name!r} must be nonempty, not '.' or "
+                                  "'..', and free of '/', '\\' and NUL")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise ValidationError(f"seed must be an integer, got {self.seed!r}")
         for key, value in (("time.dt_ms", self.dt_ms),
                            ("time.duration_ms", self.duration_ms)):
             if not 0.0 < value < math.inf:
@@ -125,6 +134,8 @@ class Scenario:
         if len(self.sensors) == 0 or len(self.sensors) % 3 != 0:
             raise ValidationError(
                 f"sensor count {len(self.sensors)} must be divisible by 3")
+        if self.expect is not None and not isinstance(self.expect, dict):
+            raise ValidationError("expect must be an object")
         for key, value in (self.expect or {}).items():
             if key not in _EXPECT_VALUES:
                 raise UnknownKey(f"expect: unknown key {key!r}")
@@ -144,11 +155,23 @@ class Scenario:
                        else None)
             if problem:
                 raise ValidationError(f"overrides.{key} must be {problem}, got {value!r}")
-        params = self.ctd_params()
+        params, corr = self.ctd_params(), self.correlation_params()
         if params.window_ms > self.duration_ms:
             raise ValidationError(
                 f"time.duration_ms {self.duration_ms!r} is shorter than one "
                 f"readout window of {params.window_ms!r} ms")
+        # Bound the work per run: windows and bins by the step count, lags by
+        # the bins of one window.
+        for key, value in (("stride_ms", params.stride_ms),
+                           ("corr_bin_width_ms", corr.bin_width_ms)):
+            if value < self.dt_ms:
+                raise ValidationError(f"overrides.{key} {value!r} must be at least "
+                                      f"time.dt_ms {self.dt_ms!r}")
+        bins = math.ceil(params.window_ms / corr.bin_width_ms)
+        if corr.lag_bins > bins:
+            raise ValidationError(
+                f"overrides.corr_lag_bins {corr.lag_bins!r} must be at most {bins}, "
+                f"the bins in one readout window")
         try:
             for neuron in (params.detector_neuron, params.regulatory_neuron,
                            params.assessing_neuron, params.judge_neuron):
@@ -289,14 +312,10 @@ def parse_scenario(text: str) -> Scenario:
     _require_keys(doc, _TOP_KEYS, "scenario")
     given: dict[str, Any] = {**_section(doc, "time"), **_section(doc, "robot")}
 
-    if "name" in doc:
-        given["name"] = doc["name"]
-        if not isinstance(given["name"], str):
-            raise ValidationError(f"name must be a string, got {given['name']!r}")
-    if "seed" in doc:
-        given["seed"] = doc["seed"]
-        if isinstance(given["seed"], bool) or not isinstance(given["seed"], int):
-            raise ValidationError(f"seed must be an integer, got {given['seed']!r}")
+    # Passed on as written; Scenario checks them.
+    given.update((name, doc[key]) for key, name in _PLAIN_KEYS.items() if key in doc)
+    if "expect" in doc:
+        given["expect"] = doc["expect"]
     if "encoding" in doc:
         try:
             given["encoding"] = Encoding(doc["encoding"])
@@ -304,17 +323,11 @@ def parse_scenario(text: str) -> Scenario:
             raise ValidationError(f"unknown encoding {doc['encoding']!r}") from None
     if "sensors" in doc:
         given["sensors"] = _parse_sensors(doc["sensors"])
-    if "circuit" in doc:
-        given["variant"] = doc["circuit"]
     if "overrides" in doc:
         if not isinstance(doc["overrides"], dict):
             raise ValidationError("overrides must be an object")
         given["overrides"] = {key: _number(value, f"overrides.{key}")
                               for key, value in doc["overrides"].items()}
-    if "expect" in doc:
-        given["expect"] = doc["expect"]
-        if given["expect"] is not None and not isinstance(given["expect"], dict):
-            raise ValidationError("expect must be an object")
     given["trajectory"] = _parse_trajectory(
         doc.get("trajectory", {"kind": "approach"}),
         given.get("duration_ms", Scenario.duration_ms))
@@ -348,15 +361,13 @@ def _trajectory_to_json(traj: Trajectory) -> dict[str, Any]:
 
 def scenario_to_json(s: Scenario) -> dict[str, Any]:
     doc: dict[str, Any] = {
-        "name": s.name,
+        **{key: getattr(s, name) for key, name in _PLAIN_KEYS.items()},
         **{section: {key: getattr(s, name) for key, name in keys.items()}
            for section, keys in _SECTIONS.items()},
-        "seed": s.seed,
         "encoding": s.encoding.value,
         "sensors": [{key: getattr(c, key) for key in sorted(_SENSOR_KEYS)}
                     for c in s.sensors],
         "trajectory": _trajectory_to_json(s.trajectory),
-        "circuit": s.variant,
         "overrides": dict(sorted(s.overrides.items())),
     }
     if s.expect is not None:

@@ -236,12 +236,18 @@ _THREE_SENSORS = [{"mount_deg": -30}, {"mount_deg": 0}, {"mount_deg": 30}]
     ({"trajectory": {"kind": "waypoints",
                      "points": [[0, [0.0, 1.0]], [100, [math.nan, 1.0]]]}},
      "trajectory.points[1][1]"),
+    ({"name": ""}, "name ''"),
+    ({"name": "."}, "name '.'"),
+    ({"name": ".."}, "name '..'"),
+    ({"name": "../escaped"}, "name '../escaped'"),
+    ({"name": "back\\slash"}, "name 'back\\\\slash'"),
 ], ids=["sensor-count", "negative-range", "infinite-cone", "nan-dt",
         "dt-not-dividing", "negative-tau", "shorter-than-window",
         "fractional-theta", "fractional-lag", "float-overflow", "int-digit-limit",
         "unhashable-expect", "nan-robot-x", "infinite-robot-y",
         "infinite-robot-heading", "nan-closest", "infinite-t-center",
-        "infinite-from", "nan-to", "infinite-waypoint-time", "nan-waypoint-point"])
+        "infinite-from", "nan-to", "infinite-waypoint-time", "nan-waypoint-point",
+        "empty-name", "dot-name", "dot-dot-name", "escaping-name", "backslash-name"])
 def test_cli_rejects_broken_scenarios(tmp_path, capsys, doc, field):
     # json.dumps writes NaN and Infinity tokens, which json.loads accepts;
     # oversized integer literals are given as text.
@@ -250,6 +256,40 @@ def test_cli_rejects_broken_scenarios(tmp_path, capsys, doc, field):
     assert cli_main(["run", str(scenario_file), "--out", str(tmp_path / "o")]) == 2
     assert field in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("case", ["missing", "directory", "not-utf8", "out-is-a-file"])
+def test_cli_reports_unreadable_files(tmp_path, capsys, case):
+    scenario_file = tmp_path / "s.json"
+    scenario_file.write_text(emit_scenario(
+        scripted_scenario("approach", 0.5, 0.5, "cli-check")))
+    out = tmp_path / "out"
+    if case == "missing":
+        scenario_file = tmp_path / "absent.json"
+    elif case == "directory":
+        scenario_file = tmp_path / "dir.json"
+        scenario_file.mkdir()
+    elif case == "not-utf8":
+        scenario_file.write_bytes(b'{"name": "\xff"}')
+    else:
+        out.write_text("")
+    assert cli_main(["run", str(scenario_file), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert str(out if case == "out-is-a-file" else scenario_file) in err
+
+
+def test_cli_suite_rejects_duplicate_names_before_running(tmp_path, capsys):
+    suite_dir = tmp_path / "suite"
+    suite_dir.mkdir()
+    text = emit_scenario(scripted_scenario("approach", 0.5, 0.5, "same"))
+    (suite_dir / "a.json").write_text(text)
+    (suite_dir / "b.json").write_text(text)
+    out = tmp_path / "out"
+    assert cli_main(["suite", str(suite_dir), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(suite_dir / "a.json") in err and str(suite_dir / "b.json") in err
+    assert not out.exists()
 
 
 def _peak_pair_correlation(kind: str) -> float:

@@ -7,13 +7,14 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from ctd.errors import CtdError, ParseError, UnknownKey, ValidationError
-from ctd.scenario import (OVERRIDE_KEYS, Scenario, default_fan_config,
-                          emit_scenario, parse_scenario)
+from ctd.scenario import (OVERRIDE_KEYS, Scenario, canonical_trajectory,
+                          default_fan_config, emit_scenario, parse_scenario)
 from ctd.suite import scripted_suite, write_suite
-from ctd.world import Approach, Encoding, SensorSpec, Waypoints
+from ctd.world import (Approach, Encoding, Recede, SensorSpec, Tangent,
+                       Waypoints)
 
 
 def test_minimal_document_takes_defaults():
@@ -76,6 +77,80 @@ def test_explicit_sensor_lists_round_trip(sensors):
     assert back == s
     for a, b in zip(back.sensors, s.sensors):
         assert (a.mount_angle, a.cone_half_angle) == (b.mount_angle, b.cone_half_angle)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_POINTS = st.tuples(_FINITE, _FINITE)
+
+
+def _trajectories(duration_ms: float):
+    segment = {"start": _POINTS, "goal": _POINTS, "speed_mps": _FINITE,
+               "duration_ms": st.just(duration_ms)}
+    knot_times = st.lists(_FINITE, min_size=1, max_size=6, unique=True).map(sorted)
+    return st.one_of(
+        st.builds(Approach, **segment),
+        st.builds(Recede, **segment),
+        st.builds(Tangent, closest=_POINTS, velocity_mps=_POINTS,
+                  t_center_ms=_FINITE, duration_ms=st.just(duration_ms)),
+        knot_times.flatmap(lambda times: st.builds(
+            Waypoints, points=st.tuples(*(st.tuples(st.just(t), _POINTS) for t in times)),
+            duration_ms=st.just(duration_ms))))
+
+
+# Every value lies inside the bounds Scenario enforces for dt_ms <= 2 and
+# duration_ms >= 500.
+_OVERRIDES = st.fixed_dictionaries({}, optional={
+    "w_inh": st.floats(0.0, 5.0),
+    "theta_active": st.integers(0, 10),
+    "window_ms": st.sampled_from([100.0, 250.0, 500.0]),
+    "stride_ms": st.floats(2.0, 500.0),
+    "corr_bin_width_ms": st.floats(2.0, 20.0),
+    "corr_lag_bins": st.integers(0, 5),
+    "corr_theta_m": st.floats(0.0, 1.0)})
+
+_EXPECT = st.none() | st.fixed_dictionaries({}, optional={
+    "depth": st.sampled_from(["N", "M", "F"]),
+    "direction": st.sampled_from(["left_to_right", "right_to_left"])})
+
+
+@st.composite
+def _scenarios(draw):
+    """Any scenario Scenario accepts; the draws it rejects are discarded."""
+    dt_ms = draw(st.sampled_from([0.25, 0.5, 1.0, 2.0]))
+    duration_ms = draw(st.sampled_from([500.0, 1000.0, 2500.0]))
+    units = draw(st.integers(1, 3))
+    fields = dict(
+        name=draw(st.text()), dt_ms=dt_ms, duration_ms=duration_ms,
+        seed=draw(st.integers(0, 2 ** 63)), encoding=draw(st.sampled_from(Encoding)),
+        robot_x=draw(_FINITE), robot_y=draw(_FINITE), robot_heading_deg=draw(_FINITE),
+        sensors=tuple(draw(st.lists(_SENSORS, min_size=3 * units, max_size=3 * units))),
+        trajectory=draw(_trajectories(duration_ms)),
+        variant=draw(st.sampled_from(["ddm", "weights"])),
+        overrides=draw(_OVERRIDES), expect=draw(_EXPECT))
+    try:
+        return Scenario(**fields)
+    except ValidationError:
+        assume(False)
+
+
+@given(_scenarios())
+def test_whole_scenarios_round_trip(s):
+    assert parse_scenario(emit_scenario(s)) == s
+
+
+def test_empty_document_is_the_default_scenario():
+    assert parse_scenario("{}") == Scenario()
+
+
+@pytest.mark.parametrize("trajectory, expected", [
+    ({"kind": "approach"}, canonical_trajectory("approach", 5000.0)),
+    ({"kind": "recede"}, canonical_trajectory("recede", 5000.0)),
+    ({"kind": "tangent"}, canonical_trajectory("tangent", 5000.0)),
+    ({"kind": "approach", "speed_mps": 0.8}, canonical_trajectory("approach", 5000.0, 0.8)),
+    ({"kind": "recede", "speed_mps": 1.5}, canonical_trajectory("recede", 5000.0, 1.5)),
+])
+def test_missing_trajectory_keys_take_the_canonical_values(trajectory, expected):
+    assert parse_scenario(json.dumps({"trajectory": trajectory})).trajectory == expected
 
 
 def test_scripted_suite_round_trips():
@@ -183,3 +258,30 @@ def test_scenario_invariants_checked_on_construction():
         Scenario(sensors=default_fan_config(6)[:4])
     with pytest.raises(UnknownKey):
         Scenario(overrides={"mystery": 1.0})
+    with pytest.raises(ValidationError, match="trajectory.speed_mps"):
+        Scenario(trajectory=canonical_trajectory("approach", 5000.0, 0.0))
+
+
+@pytest.mark.parametrize("overrides, field", [
+    ({"stride_ms": 1e-6}, "overrides.stride_ms"),
+    ({"corr_bin_width_ms": 1e-7}, "overrides.corr_bin_width_ms"),
+    ({"corr_lag_bins": 1e12}, "overrides.corr_lag_bins"),
+    ({"corr_lag_bins": 26}, "overrides.corr_lag_bins"),
+    ({"window_ms": 95.0, "corr_lag_bins": 11}, "overrides.corr_lag_bins"),
+])
+def test_overrides_that_would_make_a_run_unbounded_are_rejected(overrides, field):
+    doc = {"time": {"duration_ms": 1000}, "trajectory": {"kind": "tangent"},
+           "overrides": overrides}
+    with pytest.raises(ValidationError, match=field):
+        parse_scenario(json.dumps(doc))
+
+
+def test_override_bounds_admit_their_limits():
+    # A stride and a bin width of one step, and one lag per bin of a window.
+    doc = {"time": {"dt_ms": 0.5, "duration_ms": 1000},
+           "trajectory": {"kind": "tangent"},
+           "overrides": {"stride_ms": 0.5, "corr_bin_width_ms": 0.5,
+                         "window_ms": 250.0, "corr_lag_bins": 500}}
+    assert parse_scenario(json.dumps(doc)).correlation_params().lag_bins == 500
+    doc["overrides"] = {"window_ms": 95.0, "corr_lag_bins": 10}
+    assert parse_scenario(json.dumps(doc)).correlation_params().lag_bins == 10
