@@ -21,9 +21,8 @@ from .correlation import (BinnedTrain, CorrelationParams, CorrelationProfile,
                           bin_spikes, classify_by_correlation,
                           normalized_profile, signed_xcorr, xcorr)
 from .errors import (BadArity, BinMismatch, CtdError, DuplicatePort,
-                     HorizonTooShort, NegativeDistance, NegativeWeight,
-                     OutOfRange, ParseError, UnknownKey, UnknownNeuron,
-                     UnknownPort, ValidationError)
+                     HorizonTooShort, NegativeWeight, OutOfRange, ParseError,
+                     UnknownKey, UnknownNeuron, UnknownPort, ValidationError)
 from .harness import (RunArtifacts, VariantComparison, VariationMetrics,
                       compare_variants, emit_outputs, pdd_exclusivity_ok,
                       potential_variation, run_scenario, seizure_damped)
@@ -33,7 +32,6 @@ from .version import __version__
 from .world import (Approach, Encoding, Pose, Recede, SensorSpec, SpikeTrain,
                     Tangent, Trajectory, Waypoints, agent_position,
                     default_fan_config, encode_spikes, mirror_sensors,
-                    mirror_trajectory, rate_from_distance, sense_scenario,
-                    sensor_distance)
+                    mirror_trajectory, sense_scenario, sensor_rates)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -77,23 +77,35 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0 if all(comparison.orderings.values()) else 1
 
 
+_SUITE_SUMMARY = "suite_summary.json"
+
+
 def _cmd_suite(args: argparse.Namespace) -> int:
     files = sorted(Path(args.scenario_dir).glob("*.json"))
     if not files:
         print(f"no scenario files in {args.scenario_dir}", file=sys.stderr)
         return 2
     # Each run writes to the directory named after its scenario, so two files
-    # with one name would overwrite each other.
+    # with one name would overwrite each other, and every directory is made
+    # before the first run so that a name the file system refuses fails early.
     paths: dict[str, Path] = {}
     scenarios = []
     for path in files:
         scenario = _load(path, args.seed)
+        if scenario.name == _SUITE_SUMMARY:
+            raise CtdError(f"{path}: scenario name {_SUITE_SUMMARY!r} is the suite's "
+                           f"summary file")
         if scenario.name in paths:
             raise CtdError(f"{paths[scenario.name]} and {path} both name "
                            f"scenario {scenario.name!r}")
         paths[scenario.name] = path
         scenarios.append(scenario)
     out = _out_dir(args.out)
+    for name, path in paths.items():
+        try:
+            _out_dir(out / name)
+        except CtdError as exc:
+            raise CtdError(f"{path}: {exc}") from None
     all_ok = True
     results = {}
     calibration = {}
@@ -122,7 +134,7 @@ def _cmd_suite(args: argparse.Namespace) -> int:
                     print(f"       failed: {name}")
     agree = sum(c["agree_windows"] for c in calibration.values())
     windows = sum(c["windows"] for c in calibration.values())
-    (out / "suite_summary.json").write_text(json.dumps(
+    (out / _SUITE_SUMMARY).write_text(json.dumps(
         {"all_passed": all_ok, "results": results,
          "calibration": {"agreement": agree / windows, "scenarios": calibration}},
         indent=2, sort_keys=True) + "\n")

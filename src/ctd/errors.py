@@ -27,10 +27,6 @@ class NegativeWeight(CtdError):
     """Judge-bank weight matrices must be nonnegative."""
 
 
-class NegativeDistance(CtdError):
-    """Distances fed to the rate law must be nonnegative."""
-
-
 class OutOfRange(CtdError):
     """A trajectory was queried outside [0, duration]."""
 

@@ -13,9 +13,9 @@ import math
 import random
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Sequence
 
-from .errors import NegativeDistance, OutOfRange, ValidationError
+from .errors import OutOfRange, ValidationError
 
 Point = tuple[float, float]
 
@@ -173,6 +173,7 @@ class Waypoints:
 
     points: tuple[tuple[float, Point], ...]
     duration_ms: float
+    knot_times: tuple[float, ...] = field(init=False, repr=False, compare=False)
     kind = "waypoints"
 
     def __post_init__(self) -> None:
@@ -183,6 +184,7 @@ class Waypoints:
             if t <= prev:
                 raise ValueError("waypoint timestamps must be strictly increasing")
             prev = t
+        object.__setattr__(self, "knot_times", tuple(t for t, _ in self.points))
 
     def position(self, t_ms: float) -> Point:
         pts = self.points
@@ -190,7 +192,7 @@ class Waypoints:
             return pts[0][1]
         if t_ms >= pts[-1][0]:
             return pts[-1][1]
-        idx = bisect.bisect_right([p[0] for p in pts], t_ms) - 1
+        idx = bisect.bisect_right(self.knot_times, t_ms) - 1
         t0, p0 = pts[idx]
         t1, p1 = pts[idx + 1]
         f = (t_ms - t0) / (t1 - t0)
@@ -211,37 +213,25 @@ def agent_position(traj: Trajectory, t_ms: float) -> Point:
 # Sensing
 # --------------------------------------------------------------------------
 
-def _robot_frame(robot: Pose, agent: Point) -> tuple[float, float]:
-    """(rightward, forward) coordinates of the agent in the robot frame."""
-    ch, sh = _snapped_trig(robot.heading)
-    dx = agent[0] - robot.x
-    dy = agent[1] - robot.y
-    u = dx * sh - dy * ch
-    v = dx * ch + dy * sh
-    return u, v
-
-
-def sensor_distance(robot: Pose, sensor: SensorSpec, agent: Point) -> float | None:
-    """Distance to the agent if it sits inside the sensor cone, else None."""
-    u, v = _robot_frame(robot, agent)
-    d = math.hypot(u, v)
-    if d > sensor.range_m:
-        return None
-    if d == 0.0:
-        return 0.0
+def sensor_rates(sensor: SensorSpec,
+                 frames: Sequence[tuple[float, float, float]]) -> list[float]:
+    """Rate (Hz) of one sensor for each robot-frame reading `(u, v, d)` of the
+    agent: zero beyond range or outside the cone, else r_max falling linearly
+    from contact to zero at range."""
     sm = math.sin(sensor.mount_angle)
     cm = math.cos(sensor.mount_angle)
-    cos_off = (u * sm + v * cm) / d
-    if cos_off >= math.cos(sensor.cone_half_angle):
-        return d
-    return None
-
-
-def rate_from_distance(d: float, sensor: SensorSpec) -> float:
-    """Linear proximity rate law: r_max at contact, zero at and beyond range."""
-    if d < 0.0:
-        raise NegativeDistance(f"distance {d} < 0")
-    return sensor.r_max_hz * max(0.0, 1.0 - d / sensor.range_m)
+    cos_cone = math.cos(sensor.cone_half_angle)
+    range_m = sensor.range_m
+    r_max = sensor.r_max_hz
+    rates = []
+    for u, v, d in frames:
+        if d > range_m:
+            rates.append(0.0)
+        elif d == 0.0 or (u * sm + v * cm) / d >= cos_cone:
+            rates.append(r_max * (1.0 - d / range_m))
+        else:
+            rates.append(0.0)
+    return rates
 
 
 class Encoding(Enum):
@@ -249,24 +239,23 @@ class Encoding(Enum):
     POISSON = "poisson"
 
 
-def encode_spikes(rate_fn: Callable[[float], float], duration_ms: float, dt_ms: float,
+def encode_spikes(rates: Sequence[float], dt_ms: float,
                   mode: Encoding = Encoding.DETERMINISTIC_PHASE,
                   seed: int | str | None = None) -> SpikeTrain:
-    """Turn a time-varying rate (Hz) into a spike train sampled on the dt grid.
+    """Turn per-step rates (Hz), one per dt step, into a spike train.
 
     DETERMINISTIC_PHASE integrates the rate with compensated summation and
     emits one spike per integer crossing of the accumulated phase (at most one
     per step; rates above 1000/dt catch up on later steps). POISSON draws a
     per-step Bernoulli with p = rate*dt/1000 from a seeded generator.
     """
-    if duration_ms <= 0 or dt_ms <= 0:
-        raise ValueError("duration and dt must be positive")
-    n_steps = int(round(duration_ms / dt_ms))
+    if dt_ms <= 0:
+        raise ValueError("dt must be positive")
     times: list[float] = []
     if mode is Encoding.POISSON:
         rng = random.Random(seed)
-        for k in range(n_steps):
-            p = min(1.0, rate_fn(k * dt_ms) * dt_ms / 1000.0)
+        for k, rate in enumerate(rates):
+            p = min(1.0, rate * dt_ms / 1000.0)
             if p > 0.0 and rng.random() < p:
                 times.append(k * dt_ms)
         return SpikeTrain(tuple(times))
@@ -274,8 +263,8 @@ def encode_spikes(rate_fn: Callable[[float], float], duration_ms: float, dt_ms: 
     phase = 0.0
     err = 0.0
     crossed = 0
-    for k in range(n_steps):
-        term = rate_fn(k * dt_ms) * dt_ms / 1000.0
+    for k, rate in enumerate(rates):
+        term = rate * dt_ms / 1000.0
         y = term - err
         s = phase + y
         err = (s - phase) - y
@@ -289,24 +278,25 @@ def encode_spikes(rate_fn: Callable[[float], float], duration_ms: float, dt_ms: 
 def sense_scenario(robot: Pose, sensors: Sequence[SensorSpec], traj: Trajectory,
                    dt_ms: float, mode: Encoding = Encoding.DETERMINISTIC_PHASE,
                    seed: int | None = None) -> list[SpikeTrain]:
-    """Per-sensor spike trains for one agent pass; output order matches the fan order."""
+    """Per-sensor spike trains for one agent pass; output order matches the fan order.
+
+    The agent's robot frame, (rightward, forward, distance), is computed once
+    per step and read by every sensor.
+    """
     if not sensors:
         raise ValueError("sensor list must not be empty")
-    duration = traj.duration_ms
-    n_steps = int(round(duration / dt_ms))
-    positions = [agent_position(traj, k * dt_ms) for k in range(n_steps)]
-
-    trains: list[SpikeTrain] = []
-    for i, sensor in enumerate(sensors):
-        rates = [0.0] * n_steps
-        for k, p in enumerate(positions):
-            d = sensor_distance(robot, sensor, p)
-            if d is not None:
-                rates[k] = rate_from_distance(d, sensor)
-        rate_fn = lambda t, r=rates, dt=dt_ms: r[int(t / dt + 1e-9)]
-        trains.append(encode_spikes(rate_fn, duration, dt_ms, mode,
-                                    seed=f"{seed}:{i}" if mode is Encoding.POISSON else None))
-    return trains
+    ch, sh = _snapped_trig(robot.heading)
+    frames = []
+    for k in range(int(round(traj.duration_ms / dt_ms))):
+        x, y = agent_position(traj, k * dt_ms)
+        dx = x - robot.x
+        dy = y - robot.y
+        u = dx * sh - dy * ch
+        v = dx * ch + dy * sh
+        frames.append((u, v, math.hypot(u, v)))
+    return [encode_spikes(sensor_rates(sensor, frames), dt_ms, mode,
+                          seed=f"{seed}:{i}" if mode is Encoding.POISSON else None)
+            for i, sensor in enumerate(sensors)]
 
 
 # --------------------------------------------------------------------------

@@ -25,7 +25,7 @@ def _drive_pdd(rates: dict[int, float], duration: float = 1000.0,
     unit = build_pdd_unit(circuit, ("s0", "s1", "s2"), P, index=0)
     if not with_inhibition:
         circuit.synapses.clear()
-    drive = {f"s{i}": encode_spikes(lambda t, r=r: r, duration, 1.0)
+    drive = {f"s{i}": encode_spikes([r] * int(duration), 1.0)
              for i, r in rates.items()}
     trace = simulate(circuit, drive, duration, 1.0)
     return unit, trace
@@ -79,8 +79,8 @@ def _ddm_with_drive(rate_left: float, rate_right: float, duration: float = 1000.
     circuit.add_input_port("L", "left", P.w_ext)
     circuit.add_input_port("R", "right", P.w_ext)
     ddm = build_ddm_unit(circuit, "left", "right", P, index=0)
-    drive = {"L": encode_spikes(lambda t: rate_left, duration, 1.0),
-             "R": encode_spikes(lambda t: rate_right, duration, 1.0)}
+    drive = {"L": encode_spikes([rate_left] * int(duration), 1.0),
+             "R": encode_spikes([rate_right] * int(duration), 1.0)}
     return ddm, simulate(circuit, drive, duration, 1.0)
 
 
@@ -153,7 +153,7 @@ def test_judge_bank_zero_matrix_never_fires():
     circuit = CircuitGraph()
     unit = build_pdd_unit(circuit, ("s0", "s1", "s2"), P, index=0)
     bank = build_judge_bank(circuit, unit, [[0.0] * 3] * 3, P)
-    drive = {"s1": encode_spikes(lambda t: 180.0, 500.0, 1.0)}
+    drive = {"s1": encode_spikes([180.0] * 500, 1.0)}
     trace = simulate(circuit, drive, 500.0, 1.0)
     assert all(trace.spikes[j] == () for j in bank.judge_ids)
 
@@ -163,7 +163,7 @@ def test_judge_bank_suprathreshold_diagonal_relays_its_detector():
     unit = build_pdd_unit(circuit, ("s0", "s1", "s2"), P, index=0)
     diagonal = [[2.0 if i == j else 0.0 for j in range(3)] for i in range(3)]
     bank = build_judge_bank(circuit, unit, diagonal, P)
-    drive = {"s1": encode_spikes(lambda t: 50.0, 1000.0, 1.0)}
+    drive = {"s1": encode_spikes([50.0] * 1000, 1.0)}
     trace = simulate(circuit, drive, 1000.0, 1.0)
     det_spikes = trace.spikes[unit.detector_ids[1]]
     judge_spikes = trace.spikes[bank.judge_ids[1]]
@@ -274,8 +274,8 @@ def test_ddm_firing_stops_quickly_after_drive_ends():
     circuit.add_input_port("L", "left", P.w_ext)
     circuit.add_input_port("R", "right", P.w_ext)
     ddm = build_ddm_unit(circuit, "left", "right", P, index=0)
-    drive = {"R": encode_spikes(lambda t: 170.0 if t < 1000.0 else 0.0,
-                                1500.0, 1.0)}
+    drive = {"R": encode_spikes([170.0 if k < 1000 else 0.0
+                                 for k in range(1500)], 1.0)}
     trace = simulate(circuit, drive, 1500.0, 1.0)
     last_in = drive["R"].last
     last_out = max(t for times in trace.spikes.values() for t in times)

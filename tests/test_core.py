@@ -161,7 +161,7 @@ def test_relay_spike_count_matches_event_walk_oracle():
     c = CircuitGraph()
     c.add_neuron("n", NeuronParams())
     c.add_input_port("in", "n", weight=1.1)
-    drive = encode_spikes(lambda t: 200.0, 1000.0, 1.0)
+    drive = encode_spikes([200.0] * 1000, 1.0)
     expected = 0
     last_out = -math.inf
     for t in drive.times:
@@ -175,7 +175,7 @@ def test_relay_spike_count_matches_event_walk_oracle():
 
 def test_simulate_is_deterministic():
     c = _relay_pair(1.5, EXC)
-    drive = {"in": encode_spikes(lambda t: 80.0, 500.0, 1.0)}
+    drive = {"in": encode_spikes([80.0] * 500, 1.0)}
     t1 = simulate(c, drive, 500.0, 1.0)
     t2 = simulate(c, drive, 500.0, 1.0)
     assert t1.spikes == t2.spikes
@@ -204,7 +204,7 @@ def test_trace_independent_of_construction_order():
     order = list(range(6))
     random.Random(3).shuffle(order)
     c2 = _random_circuit(rng2, order)
-    drive = {"in": encode_spikes(lambda t: 150.0, 400.0, 1.0)}
+    drive = {"in": encode_spikes([150.0] * 400, 1.0)}
     t1 = simulate(c1, drive, 400.0, 1.0)
     t2 = simulate(c2, drive, 400.0, 1.0)
     for nid in t1.spikes:
@@ -216,7 +216,7 @@ def test_refractory_gap_holds_on_random_circuits():
     for seed in range(5):
         rng = random.Random(seed)
         c = _random_circuit(rng, list(range(6)))
-        drive = {"in": encode_spikes(lambda t: 300.0, 600.0, 1.0)}
+        drive = {"in": encode_spikes([300.0] * 600, 1.0)}
         trace = simulate(c, drive, 600.0, 1.0)
         for nid, times in trace.spikes.items():
             for a, b in zip(times, times[1:]):

@@ -132,7 +132,7 @@ def test_normalized_profile_scale_invariance():
 
 
 def test_classifier_identical_trains_read_m():
-    train = encode_spikes(lambda t: 150.0, 1000.0, 1.0)
+    train = encode_spikes([150.0] * 1000, 1.0)
     params = CorrelationParams()
     state = classify_by_correlation(train, train, Direction.LEFT_TO_RIGHT,
                                     params, 1000.0)
@@ -141,8 +141,8 @@ def test_classifier_identical_trains_read_m():
 
 def _phase(rate: float, start: float, stop: float) -> SpikeTrain:
     # One cone-visit phase: active at the given rate only inside [start, stop)
-    return encode_spikes(
-        lambda t: rate if start <= t < stop else 0.0, 1000.0, 1.0)
+    return encode_spikes([rate if start <= k < stop else 0.0 for k in range(1000)],
+                         1.0)
 
 
 def test_classifier_hotter_later_side_reads_n():

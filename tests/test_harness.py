@@ -292,6 +292,25 @@ def test_cli_suite_rejects_duplicate_names_before_running(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name", ["suite_summary.json", "x" * 300],
+                         ids=["summary-file", "too-long"])
+def test_cli_suite_rejects_unusable_output_names_before_running(tmp_path, capsys, name):
+    suite_dir = tmp_path / "suite"
+    suite_dir.mkdir()
+    # a.json sorts first, so a check made only when b.json's turn came
+    # would come after a finished run.
+    (suite_dir / "a.json").write_text(emit_scenario(
+        scripted_scenario("approach", 0.5, 0.5, "fine")))
+    (suite_dir / "b.json").write_text(emit_scenario(
+        scripted_scenario("approach", 0.5, 0.5, name)))
+    out = tmp_path / "out"
+    assert cli_main(["suite", str(suite_dir), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert str(suite_dir / "b.json") in err
+    assert not list(tmp_path.rglob("spikes.csv"))
+
+
 def _peak_pair_correlation(kind: str) -> float:
     from ctd.correlation import CorrelationParams, bin_spikes, normalized_profile
     from ctd.world import SpikeTrain
