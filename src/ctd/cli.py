@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
 from .errors import CtdError
-from .harness import RunArtifacts, compare_variants, emit_outputs, run_scenario
+from .harness import (RunArtifacts, compare_variants, emit_outputs, run_scenario,
+                      write_json)
 from .scenario import Scenario, parse_scenario
 
 
@@ -67,8 +67,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         "weights": dataclasses.asdict(mw),
         "orderings": comparison.orderings,
     }
-    (out / "comparison.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n")
+    write_json(out / "comparison.json", report)
     print(f"{scenario.name}: max_step ddm={md.max_step:.3f} weights={mw.max_step:.3f}; "
           f"total_variation ddm={md.total_variation:.2f} weights={mw.total_variation:.2f}; "
           f"mean_level ddm={md.mean_level:.4f} weights={mw.mean_level:.4f}")
@@ -134,10 +133,9 @@ def _cmd_suite(args: argparse.Namespace) -> int:
                     print(f"       failed: {name}")
     agree = sum(c["agree_windows"] for c in calibration.values())
     windows = sum(c["windows"] for c in calibration.values())
-    (out / _SUITE_SUMMARY).write_text(json.dumps(
-        {"all_passed": all_ok, "results": results,
-         "calibration": {"agreement": agree / windows, "scenarios": calibration}},
-        indent=2, sort_keys=True) + "\n")
+    write_json(out / _SUITE_SUMMARY,
+               {"all_passed": all_ok, "results": results,
+                "calibration": {"agreement": agree / windows, "scenarios": calibration}})
     print(f"suite: {sum(all(c.values()) for c in results.values())}/{len(results)} passed; "
           f"circuit/correlation agreement {agree}/{windows} ({100.0 * agree / windows:.1f}%)")
     return 0 if all_ok else 1

@@ -99,7 +99,7 @@ class Synapse:
 @dataclass(frozen=True)
 class InputPort:
     neuron: str
-    weight: float = 1.1
+    weight: float
 
 
 class CircuitGraph:
@@ -147,7 +147,7 @@ class CircuitGraph:
         self.synapses.append(syn)
         return syn
 
-    def add_input_port(self, name: str, neuron_id: str, weight: float = 1.1) -> None:
+    def add_input_port(self, name: str, neuron_id: str, weight: float) -> None:
         if name in self.input_ports:
             raise DuplicatePort(name)
         if neuron_id not in self._params:

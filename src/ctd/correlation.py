@@ -41,7 +41,6 @@ class BinnedTrain:
 class CorrelationProfile:
     lags: tuple[int, ...]
     values: tuple[float, ...]
-    normalization: str
     degenerate: bool = False
 
 
@@ -87,11 +86,10 @@ def normalized_profile(x: BinnedTrain, y: BinnedTrain,
     x0 = xcorr(x, x, 0)
     y0 = xcorr(y, y, 0)
     if x0 == 0 or y0 == 0:
-        return CorrelationProfile(lag_tuple, (0.0,) * len(lag_tuple),
-                                  "normalized", degenerate=True)
+        return CorrelationProfile(lag_tuple, (0.0,) * len(lag_tuple), degenerate=True)
     norm = math.sqrt(x0 * y0)
     values = tuple(xcorr(x, y, w) / norm for w in lag_tuple)
-    return CorrelationProfile(lag_tuple, values, "normalized")
+    return CorrelationProfile(lag_tuple, values)
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-import csv
+import dataclasses
 import json
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
-from typing import Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -233,8 +234,24 @@ def compare_variants(scenario: Scenario) -> VariantComparison:
 # Output files
 # --------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
+    """Write the header and then each row as one CRLF-ended line of str fields.
+
+    The bytes are those of csv's default dialect as long as no field holds a
+    comma, a quote or a line break and every number is a Python float, whose
+    str is its shortest round-trip repr. The trace files hold only such floats
+    and the neuron ids, roles and enum values made by the circuit builders.
+    Rows are written as they come, so no whole file is held in memory.
+    """
+    with path.open("w", newline="") as fh:
+        fh.writelines(",".join(map(str, row)) + "\r\n" for row in chain((header,), rows))
+    return path
+
+
+def write_json(path: Path, doc: Any) -> Path:
+    """Write doc as JSON with two-space indent, sorted keys and a final newline."""
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    return path
 
 
 def emit_outputs(artifacts: RunArtifacts, out_dir: str | Path) -> list[Path]:
@@ -245,58 +262,34 @@ def emit_outputs(artifacts: RunArtifacts, out_dir: str | Path) -> list[Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     trace = artifacts.trace
-    circuit = artifacts.circuit
-    paths = []
-
-    spikes_path = out / "spikes.csv"
-    rows = sorted((t, nid) for nid, times in trace.spikes.items() for t in times)
-    with spikes_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time_ms", "neuron_id", "neuron_role"])
-        for t, nid in rows:
-            writer.writerow([_fmt(t), nid, circuit.role_of(nid)])
-    paths.append(spikes_path)
-
-    potentials_path = out / "potentials.csv"
-    with potentials_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time_ms", *trace.neuron_ids])
-        # csv.writer formats a float with repr, as _fmt does. Converting one
-        # row at a time keeps the Python floats of only that row alive.
-        for k, row in enumerate(trace.potentials):
-            writer.writerow([float(k * trace.dt), *row.tolist()])
-    paths.append(potentials_path)
-
-    states_path = out / "states.csv"
-    with states_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["window_start_ms", "window_end_ms", "direction",
-                         "depth_circuit", "depth_correlation"])
-        for readout, corr in zip(artifacts.readouts, artifacts.correlation_depths):
-            writer.writerow([_fmt(readout.window[0]), _fmt(readout.window[1]),
-                             readout.direction.value, readout.depth.value,
-                             corr.value])
-    paths.append(states_path)
-
-    summary_path = out / "summary.json"
+    role_of = artifacts.circuit.role_of
+    dominant = artifacts.dominant
+    spikes = sorted((t, nid) for nid, times in trace.spikes.items() for t in times)
     summary = {
         "provenance": artifacts.provenance,
-        "metrics": {
-            "total_variation": artifacts.metrics.total_variation,
-            "max_step": artifacts.metrics.max_step,
-            "mean_level": artifacts.metrics.mean_level,
-            "degenerate": artifacts.metrics.degenerate,
-        },
+        "metrics": dataclasses.asdict(artifacts.metrics),
         "dominant": {
-            "window_start_ms": artifacts.dominant.window[0],
-            "window_end_ms": artifacts.dominant.window[1],
-            "direction": artifacts.dominant.direction.value,
-            "depth": artifacts.dominant.depth.value,
+            "window_start_ms": dominant.window[0],
+            "window_end_ms": dominant.window[1],
+            "direction": dominant.direction.value,
+            "depth": dominant.depth.value,
         },
         "assertions": artifacts.assertions,
         "n_windows": len(artifacts.readouts),
-        "total_spikes": sum(len(t) for t in trace.spikes.values()),
+        "total_spikes": len(spikes),
     }
-    summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    paths.append(summary_path)
-    return paths
+    return [
+        _write_csv(out / "spikes.csv", ("time_ms", "neuron_id", "neuron_role"),
+                   ((t, nid, role_of(nid)) for t, nid in spikes)),
+        # One row's floats at a time: tolist() per row keeps memory flat.
+        _write_csv(out / "potentials.csv", ("time_ms", *trace.neuron_ids),
+                   ((k * trace.dt, *row.tolist())
+                    for k, row in enumerate(trace.potentials))),
+        _write_csv(out / "states.csv",
+                   ("window_start_ms", "window_end_ms", "direction",
+                    "depth_circuit", "depth_correlation"),
+                   ((*r.window, r.direction.value, r.depth.value, corr.value)
+                    for r, corr in zip(artifacts.readouts,
+                                       artifacts.correlation_depths))),
+        write_json(out / "summary.json", summary),
+    ]

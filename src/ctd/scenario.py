@@ -113,6 +113,19 @@ class Scenario:
                                   "'..', and free of '/', '\\' and NUL")
         if isinstance(self.seed, bool) or not isinstance(self.seed, int):
             raise ValidationError(f"seed must be an integer, got {self.seed!r}")
+        # Time and robot numbers are held as floats, so every time a run
+        # writes is a float.
+        for section, keys in _SECTIONS.items():
+            for key, name in keys.items():
+                object.__setattr__(self, name,
+                                   _number(getattr(self, name), f"{section}.{key}"))
+        trajectory = _trajectory_to_json(self.trajectory)
+        del trajectory["kind"]
+        for key, value in (("robot.x", self.robot_x), ("robot.y", self.robot_y),
+                           ("robot.heading_deg", self.robot_heading_deg),
+                           *_numbers(trajectory, "trajectory")):
+            if not math.isfinite(value):
+                raise ValidationError(f"{key} must be finite, got {value!r}")
         for key, value in (("time.dt_ms", self.dt_ms),
                            ("time.duration_ms", self.duration_ms)):
             if not 0.0 < value < math.inf:
@@ -121,16 +134,10 @@ class Scenario:
         if steps == math.inf or abs(round(steps) * self.dt_ms - self.duration_ms) > 1e-9:
             raise ValidationError(f"time.dt_ms {self.dt_ms!r} must divide "
                                   f"time.duration_ms {self.duration_ms!r}")
-        trajectory = _trajectory_to_json(self.trajectory)
         speed = trajectory.get("speed_mps")
         if speed is not None and not 0.0 < speed < math.inf:
             raise ValidationError(
                 f"trajectory.speed_mps must be positive and finite, got {speed!r}")
-        for key, value in (("robot.x", self.robot_x), ("robot.y", self.robot_y),
-                           ("robot.heading_deg", self.robot_heading_deg),
-                           *_numbers(trajectory, "trajectory")):
-            if not math.isfinite(value):
-                raise ValidationError(f"{key} must be finite, got {value!r}")
         if len(self.sensors) == 0 or len(self.sensors) % 3 != 0:
             raise ValidationError(
                 f"sensor count {len(self.sensors)} must be divisible by 3")
@@ -148,6 +155,7 @@ class Scenario:
         for key, value in self.overrides.items():
             if key not in OVERRIDE_KEYS:
                 raise UnknownKey(f"override {key!r}")
+            value = _number(value, f"overrides.{key}")
             problem = ("finite" if not math.isfinite(value)
                        else "an integer" if key in _INT_OVERRIDES and value != int(value)
                        else "positive" if key in _POSITIVE_OVERRIDES and value <= 0
@@ -339,15 +347,15 @@ def parse_scenario(text: str) -> Scenario:
 # --------------------------------------------------------------------------
 
 def _numbers(value: Any, where: str) -> Iterator[tuple[str, float]]:
-    """Every number in a JSON-shaped value, with its path."""
+    """Every leaf of a JSON-shaped value with its path; each must be a number."""
     if isinstance(value, dict):
         for key, item in value.items():
             yield from _numbers(item, f"{where}.{key}")
     elif isinstance(value, list):
         for i, item in enumerate(value):
             yield from _numbers(item, f"{where}[{i}]")
-    elif isinstance(value, (int, float)):
-        yield where, value
+    else:
+        yield where, _number(value, where)
 
 
 def _to_json(value: Any) -> Any:

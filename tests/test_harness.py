@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import json
 import math
@@ -15,9 +16,9 @@ from ctd.core import Trace
 from ctd.errors import UnknownNeuron
 from ctd.harness import (compare_variants, emit_outputs, potential_variation,
                          run_scenario)
-from ctd.scenario import emit_scenario
+from ctd.scenario import Scenario, emit_scenario
 from ctd.suite import canonical_scenario, scripted_scenario
-from ctd.world import Encoding, Tangent
+from ctd.world import Encoding, SensorSpec, Tangent
 
 
 def _flat_trace(samples: dict[str, tuple[float, ...]], dt=1.0) -> Trace:
@@ -122,22 +123,41 @@ def test_emit_outputs_formats(tmp_path):
     paths = emit_outputs(artifacts, tmp_path)
     names = {p.name for p in paths}
     assert names == {"spikes.csv", "potentials.csv", "states.csv", "summary.json"}
+    trace = artifacts.trace
 
-    spikes = (tmp_path / "spikes.csv").read_text().splitlines()
-    assert spikes[0] == "time_ms,neuron_id,neuron_role"
-    total_spikes = sum(len(t) for t in artifacts.trace.spikes.values())
-    assert len(spikes) - 1 == total_spikes
-    times = [float(row.split(",")[0]) for row in spikes[1:]]
-    assert times == sorted(times)
+    def read_csv(name):
+        data = (tmp_path / name).read_bytes()
+        # Every line, the last included, ends in CRLF.
+        assert data.endswith(b"\r\n")
+        assert data.count(b"\n") == data.count(b"\r\n") == data.count(b"\r")
+        with (tmp_path / name).open(newline="") as fh:
+            return list(csv.reader(fh))
 
-    potentials = (tmp_path / "potentials.csv").read_text().splitlines()
-    assert potentials[0].startswith("time_ms,")
+    def number(field):
+        # Written as the float's shortest round-trip repr.
+        value = float(field)
+        assert field == repr(value)
+        return value
+
+    spikes = read_csv("spikes.csv")
+    assert spikes[0] == ["time_ms", "neuron_id", "neuron_role"]
+    assert [(number(t), nid, role) for t, nid, role in spikes[1:]] == sorted(
+        (t, nid, artifacts.circuit.role_of(nid))
+        for nid, times in trace.spikes.items() for t in times)
+
+    potentials = read_csv("potentials.csv")
+    assert potentials[0] == ["time_ms", *trace.neuron_ids]
     assert len(potentials) - 1 == 5000
+    assert [number(row[0]) for row in potentials[1:]] == [k * trace.dt for k in range(5000)]
+    values = np.array([[number(f) for f in row[1:]] for row in potentials[1:]])
+    assert values.tobytes() == trace.potentials.tobytes()
 
-    states = (tmp_path / "states.csv").read_text().splitlines()
-    assert states[0] == ("window_start_ms,window_end_ms,direction,"
-                         "depth_circuit,depth_correlation")
-    assert len(states) - 1 == len(artifacts.readouts)
+    states = read_csv("states.csv")
+    assert states[0] == ["window_start_ms", "window_end_ms", "direction",
+                         "depth_circuit", "depth_correlation"]
+    assert [(number(a), number(b), d, dc, dr) for a, b, d, dc, dr in states[1:]] == [
+        (*r.window, r.direction.value, r.depth.value, c.value)
+        for r, c in zip(artifacts.readouts, artifacts.correlation_depths)]
 
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["dominant"]["depth"] == "N"
@@ -156,12 +176,15 @@ def test_emit_outputs_empty_trace_headers_only(tmp_path):
 
 def test_emit_outputs_reruns_are_byte_identical(tmp_path):
     scenario = scripted_scenario("recede", 0.5, 0.5, "det-check")
-    a = tmp_path / "a"
-    b = tmp_path / "b"
+    a, b, c = (tmp_path / n for n in "abc")
     emit_outputs(run_scenario(scenario), a)
     emit_outputs(run_scenario(scenario), b)
+    # Integer time and robot numbers are held as floats, so they write the
+    # same bytes as the float values.
+    emit_outputs(run_scenario(dataclasses.replace(
+        scenario, dt_ms=1, duration_ms=5000, robot_x=0, robot_heading_deg=90)), c)
     for name in ("spikes.csv", "potentials.csv", "states.csv", "summary.json"):
-        assert (a / name).read_bytes() == (b / name).read_bytes()
+        assert (a / name).read_bytes() == (b / name).read_bytes() == (c / name).read_bytes()
 
 
 def test_cli_run_and_compare(tmp_path):
@@ -369,6 +392,28 @@ def test_poisson_encoding_still_resolves_approach_and_recede():
                                            encoding=Encoding.POISSON,
                                            seed=seed, expect=None)
             assert run_scenario(scenario).dominant.depth is want
+
+
+@pytest.mark.parametrize("encoding", [
+    Encoding.DETERMINISTIC_PHASE,
+    pytest.param(Encoding.POISSON, marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 4 (PDD exclusivity under coincident "
+                            "drive): overlapping cones firing in one step make two "
+                            "detectors spike before the one-step-late lateral "
+                            "inhibition arrives")),
+])
+def test_pdd_exclusivity_holds_for_overlapping_cones(encoding):
+    # Three 80-degree half-cones 80 degrees apart overlap pairwise; a tangent
+    # pass at 0.5 m sweeps through every overlap.
+    scenario = Scenario(
+        name="overlap", duration_ms=1000.0, seed=0, encoding=encoding,
+        sensors=tuple(SensorSpec(m, cone_half_deg=80.0, range_m=2.0, r_max_hz=200.0)
+                      for m in (-80.0, 0.0, 80.0)),
+        trajectory=Tangent(closest=(0.0, 0.5), velocity_mps=(1.0, 0.0),
+                           t_center_ms=500.0, duration_ms=1000.0))
+    comparison = compare_variants(scenario)
+    assert comparison.ddm.assertions["pdd_exclusivity"]
+    assert comparison.weights.assertions["pdd_exclusivity"]
 
 
 def test_seed_override_changes_poisson_runs(tmp_path):

@@ -260,6 +260,19 @@ def test_scenario_invariants_checked_on_construction():
         Scenario(overrides={"mystery": 1.0})
     with pytest.raises(ValidationError, match="trajectory.speed_mps"):
         Scenario(trajectory=canonical_trajectory("approach", 5000.0, 0.0))
+    # Values the scenario file cannot hold: emit_scenario would write `true`
+    # or a string that parse_scenario rejects.
+    with pytest.raises(ValidationError, match="time.dt_ms must be a number"):
+        Scenario(dt_ms=True)
+    with pytest.raises(ValidationError, match="robot.x must be a number"):
+        Scenario(robot_x=True)
+    with pytest.raises(ValidationError, match="overrides.theta_active must be a number"):
+        Scenario(overrides={"theta_active": True})
+    with pytest.raises(ValidationError, match="overrides.w_inh must be a number"):
+        Scenario(overrides={"w_inh": "0.5"})
+    with pytest.raises(ValidationError, match=r"trajectory.closest\[1\] must be a number"):
+        Scenario(trajectory=Tangent(closest=(0.0, True), velocity_mps=(0.5, 0.0),
+                                    t_center_ms=2500.0, duration_ms=5000.0))
 
 
 @pytest.mark.parametrize("overrides, field", [
