@@ -44,19 +44,22 @@ class CorrelationProfile:
     degenerate: bool = False
 
 
-def bin_spikes(train: SpikeTrain, bin_width: float, horizon: float) -> BinnedTrain:
-    """Counts per [i*w, (i+1)*w) bin; a spike landing exactly on the horizon
-    goes into the last bin. Total count is preserved."""
+def _bin_counts(train: SpikeTrain, bin_width: float, horizon: float) -> np.ndarray:
+    """bin_spikes' counts as one int64 array."""
     if bin_width <= 0 or horizon <= 0:
         raise ValueError("bin width and horizon must be positive")
     if train.times and train.times[-1] > horizon:
         raise HorizonTooShort(
             f"horizon {horizon} ends before last spike {train.times[-1]}")
     n_bins = max(1, math.ceil(horizon / bin_width - 1e-9))
-    counts = [0] * n_bins
-    for t in train.times:
-        counts[min(int(t / bin_width), n_bins - 1)] += 1
-    return BinnedTrain(tuple(counts), bin_width)
+    bins = (np.asarray(train.times, dtype=np.float64) / bin_width).astype(np.int64)
+    return np.bincount(np.minimum(bins, n_bins - 1), minlength=n_bins)
+
+
+def bin_spikes(train: SpikeTrain, bin_width: float, horizon: float) -> BinnedTrain:
+    """Counts per [i*w, (i+1)*w) bin; a spike landing exactly on the horizon
+    goes into the last bin. Total count is preserved."""
+    return BinnedTrain(tuple(_bin_counts(train, bin_width, horizon).tolist()), bin_width)
 
 
 def xcorr(x: BinnedTrain, y: BinnedTrain, w: int) -> int:
@@ -78,18 +81,31 @@ def signed_xcorr(x: BinnedTrain, y: BinnedTrain, w: int) -> int:
     return x.sign * y.sign * xcorr(x, y, w)
 
 
+def _profile(xc: np.ndarray, yc: np.ndarray, lags: Sequence[int]) -> CorrelationProfile:
+    """Normalized profile of two int64 count arrays. One full correlation
+    holds every lag: full[w + len(x) - 1] == xcorr(x, y, w), and lags outside
+    the overlap read 0."""
+    lag_tuple = tuple(int(w) for w in lags)
+    x0 = int(xc @ xc)
+    y0 = int(yc @ yc)
+    if x0 == 0 or y0 == 0:
+        return CorrelationProfile(lag_tuple, (0.0,) * len(lag_tuple), degenerate=True)
+    norm = math.sqrt(x0 * y0)
+    full = np.correlate(yc, xc, "full").tolist()
+    shift = len(xc) - 1
+    values = tuple(full[w + shift] / norm if 0 <= w + shift < len(full) else 0.0
+                   for w in lag_tuple)
+    return CorrelationProfile(lag_tuple, values)
+
+
 def normalized_profile(x: BinnedTrain, y: BinnedTrain,
                        lags: Sequence[int]) -> CorrelationProfile:
     """Correlation per lag divided by the geometric mean of the zero-lag
     autocorrelations; all-zero and flagged degenerate when either side is."""
-    lag_tuple = tuple(int(w) for w in lags)
-    x0 = xcorr(x, x, 0)
-    y0 = xcorr(y, y, 0)
-    if x0 == 0 or y0 == 0:
-        return CorrelationProfile(lag_tuple, (0.0,) * len(lag_tuple), degenerate=True)
-    norm = math.sqrt(x0 * y0)
-    values = tuple(xcorr(x, y, w) / norm for w in lag_tuple)
-    return CorrelationProfile(lag_tuple, values)
+    if x.bin_width != y.bin_width:
+        raise BinMismatch(f"bin widths differ: {x.bin_width} vs {y.bin_width}")
+    return _profile(np.asarray(x.counts, dtype=np.int64),
+                    np.asarray(y.counts, dtype=np.int64), lags)
 
 
 @dataclass(frozen=True)
@@ -119,10 +135,9 @@ def classify_by_correlation(left: SpikeTrain, right: SpikeTrain,
     if not left.times and not right.times:
         return DepthState.M
 
-    lb = bin_spikes(left, params.bin_width_ms, duration_ms)
-    rb = bin_spikes(right, params.bin_width_ms, duration_ms)
     lags = range(-params.lag_bins, params.lag_bins + 1)
-    profile = normalized_profile(lb, rb, lags)
+    profile = _profile(_bin_counts(left, params.bin_width_ms, duration_ms),
+                       _bin_counts(right, params.bin_width_ms, duration_ms), lags)
     if not profile.degenerate and max(profile.values) >= params.theta_m:
         return DepthState.M
     if direction is Direction.UNDETERMINED:

@@ -19,7 +19,7 @@ from .circuits import CtdParams, DepthState, Direction
 from .correlation import CorrelationParams
 from .errors import ParseError, UnknownKey, ValidationError
 from .world import (Approach, Encoding, Pose, Recede, SensorSpec, Tangent,
-                    Trajectory, Waypoints, default_fan_config)
+                    Trajectory, Waypoints, _number, default_fan_config)
 
 _TOP_KEYS = {"name", "time", "seed", "encoding", "robot", "sensors",
              "trajectory", "circuit", "overrides", "expect"}
@@ -210,12 +210,6 @@ def _require_keys(obj: dict, allowed: set[str], where: str) -> None:
     for key in obj:
         if key not in allowed:
             raise UnknownKey(f"{where}: unknown key {key!r}")
-
-
-def _number(value: Any, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{where} must be a number, got {value!r}")
-    return float(value)
 
 
 def _point(value: Any, where: str) -> tuple[float, float]:

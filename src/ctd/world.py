@@ -13,7 +13,9 @@ import math
 import random
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Sequence
+from typing import Any, Sequence
+
+import numpy as np
 
 from .errors import OutOfRange, ValidationError
 
@@ -81,6 +83,13 @@ def _snapped_trig(angle: float) -> tuple[float, float]:
     return _snap(math.cos(angle)), _snap(math.sin(angle))
 
 
+def _number(value: Any, where: str) -> float:
+    """A number a scenario file can hold (not a bool), as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{where} must be a number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class SensorSpec:
     """One proximity neurodetector mounted on the robot body.
@@ -97,6 +106,8 @@ class SensorSpec:
     cone_half_angle: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        for name in ("mount_deg", "cone_half_deg", "range_m", "r_max_hz"):
+            object.__setattr__(self, name, _number(getattr(self, name), name))
         if not math.isfinite(self.mount_deg):
             raise ValidationError(f"mount_deg must be finite, got {self.mount_deg!r}")
         if not 0.0 < self.cone_half_deg <= 180.0:
@@ -214,24 +225,18 @@ def agent_position(traj: Trajectory, t_ms: float) -> Point:
 # --------------------------------------------------------------------------
 
 def sensor_rates(sensor: SensorSpec,
-                 frames: Sequence[tuple[float, float, float]]) -> list[float]:
+                 frames: Sequence[tuple[float, float, float]] | np.ndarray) -> np.ndarray:
     """Rate (Hz) of one sensor for each robot-frame reading `(u, v, d)` of the
     agent: zero beyond range or outside the cone, else r_max falling linearly
     from contact to zero at range."""
+    u, v, d = np.asarray(frames, dtype=np.float64).reshape(-1, 3).T
     sm = math.sin(sensor.mount_angle)
     cm = math.cos(sensor.mount_angle)
-    cos_cone = math.cos(sensor.cone_half_angle)
     range_m = sensor.range_m
-    r_max = sensor.r_max_hz
-    rates = []
-    for u, v, d in frames:
-        if d > range_m:
-            rates.append(0.0)
-        elif d == 0.0 or (u * sm + v * cm) / d >= cos_cone:
-            rates.append(r_max * (1.0 - d / range_m))
-        else:
-            rates.append(0.0)
-    return rates
+    # At d == 0 the cosine is 0/0; the agent counts as inside the cone.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        seen = ((u * sm + v * cm) / d >= math.cos(sensor.cone_half_angle)) | (d == 0.0)
+    return np.where(seen & (d <= range_m), sensor.r_max_hz * (1.0 - d / range_m), 0.0)
 
 
 class Encoding(Enum):
@@ -239,7 +244,7 @@ class Encoding(Enum):
     POISSON = "poisson"
 
 
-def encode_spikes(rates: Sequence[float], dt_ms: float,
+def encode_spikes(rates: Sequence[float] | np.ndarray, dt_ms: float,
                   mode: Encoding = Encoding.DETERMINISTIC_PHASE,
                   seed: int | str | None = None) -> SpikeTrain:
     """Turn per-step rates (Hz), one per dt step, into a spike train.
@@ -251,19 +256,22 @@ def encode_spikes(rates: Sequence[float], dt_ms: float,
     """
     if dt_ms <= 0:
         raise ValueError("dt must be positive")
-    times: list[float] = []
+    rates = np.asarray(rates, dtype=np.float64)
     if mode is Encoding.POISSON:
+        # One draw per step with p > 0, in step order: the same stream the
+        # per-step loop `p > 0.0 and rng.random() < p` consumes.
         rng = random.Random(seed)
-        for k, rate in enumerate(rates):
-            p = min(1.0, rate * dt_ms / 1000.0)
-            if p > 0.0 and rng.random() < p:
-                times.append(k * dt_ms)
-        return SpikeTrain(tuple(times))
+        p = np.minimum(1.0, rates * dt_ms / 1000.0)
+        steps = np.flatnonzero(p > 0.0)
+        draws = np.array([rng.random() for _ in range(len(steps))])
+        fired = steps[draws < p[steps]]
+        return SpikeTrain(tuple((fired * dt_ms).tolist()))
 
+    times: list[float] = []
     phase = 0.0
     err = 0.0
     crossed = 0
-    for k, rate in enumerate(rates):
+    for k, rate in enumerate(rates.tolist()):
         term = rate * dt_ms / 1000.0
         y = term - err
         s = phase + y
@@ -281,19 +289,20 @@ def sense_scenario(robot: Pose, sensors: Sequence[SensorSpec], traj: Trajectory,
     """Per-sensor spike trains for one agent pass; output order matches the fan order.
 
     The agent's robot frame, (rightward, forward, distance), is computed once
-    per step and read by every sensor.
+    per step into one (steps, 3) array that every sensor reads.
     """
     if not sensors:
         raise ValueError("sensor list must not be empty")
     ch, sh = _snapped_trig(robot.heading)
-    frames = []
+    rows = []
     for k in range(int(round(traj.duration_ms / dt_ms))):
         x, y = agent_position(traj, k * dt_ms)
         dx = x - robot.x
         dy = y - robot.y
         u = dx * sh - dy * ch
         v = dx * ch + dy * sh
-        frames.append((u, v, math.hypot(u, v)))
+        rows.append((u, v, math.hypot(u, v)))
+    frames = np.array(rows, dtype=np.float64).reshape(-1, 3)
     return [encode_spikes(sensor_rates(sensor, frames), dt_ms, mode,
                           seed=f"{seed}:{i}" if mode is Encoding.POISSON else None)
             for i, sensor in enumerate(sensors)]

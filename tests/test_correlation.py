@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctd.circuits import DepthState, Direction
 from ctd.core import ConnectionKind
@@ -13,6 +15,7 @@ from ctd.correlation import (BinnedTrain, CorrelationParams, bin_spikes,
                              signed_xcorr, xcorr)
 from ctd.errors import BinMismatch, HorizonTooShort
 from ctd.world import SpikeTrain, encode_spikes
+import reference_correlation as ref
 
 
 def _bt(counts, sign=1, bin_width=10.0):
@@ -116,6 +119,11 @@ def test_normalized_profile_self_scale_and_degenerate():
     assert prof.values == (0.0, 0.0, 0.0)
 
 
+def test_normalized_profile_rejects_bin_mismatch_even_when_degenerate():
+    with pytest.raises(BinMismatch):
+        normalized_profile(_bt([0, 0]), _bt([1, 1], bin_width=5.0), [0])
+
+
 def test_normalized_profile_scale_invariance():
     rng = random.Random(5)
     lags = list(range(-5, 6))
@@ -180,3 +188,57 @@ def test_classifier_gates():
     b = _phase(290.0, 650.0, 1000.0)  # ~101 spikes; gap under 20 percent
     assert classify_by_correlation(a, b, Direction.LEFT_TO_RIGHT,
                                    params, 1000.0) is DepthState.M
+
+
+# --------------------------------------------------------------------------
+# The array path against the per-lag reference path, exactly
+# --------------------------------------------------------------------------
+
+_counts = st.lists(st.integers(0, 6), max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=_counts, y=_counts, lags=st.lists(st.integers(-50, 50), max_size=25))
+def test_normalized_profile_matches_reference(x, y, lags):
+    # Empty sides, all-zero sides and lags beyond the overlap included.
+    assert (normalized_profile(_bt(x), _bt(y), lags)
+            == ref.normalized_profile(_bt(x), _bt(y), lags))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except HorizonTooShort as exc:
+        return type(exc)
+
+
+@st.composite
+def _window_cases(draw):
+    dt = draw(st.sampled_from([0.1, 0.5, 1.0]))
+    steps = draw(st.integers(1, 400))
+    horizon = steps * dt
+    # Spike times on the step grid up to and including the horizon itself.
+    train = st.sets(st.integers(0, steps), max_size=200).map(
+        lambda ks: SpikeTrain(tuple(k * dt for k in sorted(ks))))
+    left, right = draw(train), draw(train)
+    if draw(st.integers(0, 9)) == 0:
+        horizon -= dt / 2    # shorter than the last spike, now and then
+    params = CorrelationParams(
+        bin_width_ms=draw(st.sampled_from([0.7, 1.0, 2.5, 10.0, 33.0])),
+        lag_bins=draw(st.integers(0, 60)),
+        theta_m=draw(st.sampled_from([0.0, 0.3, 0.6, 1.0, 1.5])),
+        theta_rate=draw(st.sampled_from([0.0, 0.2, 0.5])),
+        min_rate_hz=draw(st.sampled_from([0.0, 115.0])))
+    direction = draw(st.sampled_from(list(Direction)))
+    return left, right, direction, params, horizon
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_window_cases())
+def test_classify_by_correlation_matches_reference(case):
+    left, right, direction, params, horizon = case
+    assert (_outcome(classify_by_correlation, *case)
+            == _outcome(ref.classify_by_correlation, *case))
+    for train in (left, right):
+        assert (_outcome(bin_spikes, train, params.bin_width_ms, horizon)
+                == _outcome(ref.bin_spikes, train, params.bin_width_ms, horizon))

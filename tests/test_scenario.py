@@ -273,6 +273,11 @@ def test_scenario_invariants_checked_on_construction():
     with pytest.raises(ValidationError, match=r"trajectory.closest\[1\] must be a number"):
         Scenario(trajectory=Tangent(closest=(0.0, True), velocity_mps=(0.5, 0.0),
                                     t_center_ms=2500.0, duration_ms=5000.0))
+    with pytest.raises(ValidationError, match="r_max_hz must be a number"):
+        Scenario(sensors=(SensorSpec(-30.0), SensorSpec(0.0, r_max_hz=True),
+                          SensorSpec(30.0)))
+    with pytest.raises(ValidationError, match="mount_deg must be a number"):
+        SensorSpec("0")
 
 
 @pytest.mark.parametrize("overrides, field", [

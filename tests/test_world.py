@@ -19,6 +19,7 @@ from ctd.world import (Approach, Encoding, Pose, Recede, SensorSpec, SpikeTrain,
                        Tangent, Waypoints, agent_position, default_fan_config,
                        encode_spikes, mirror_sensors, mirror_trajectory,
                        sense_scenario, sensor_rates)
+import reference_sensing
 from reference_sensing import reference_sense
 
 
@@ -77,12 +78,13 @@ def test_full_circle_cone_sees_agent_straight_behind():
 
 def test_rate_law_boundaries_and_midpoint():
     sensor = SensorSpec(mount_deg=0.0, range_m=2.0, r_max_hz=200.0)
-    assert sensor_rates(sensor, _on_axis([0.0, 2.0, 1.0, 5.0])) == [200.0, 0.0, 100.0, 0.0]
+    assert (sensor_rates(sensor, _on_axis([0.0, 2.0, 1.0, 5.0])).tolist()
+            == [200.0, 0.0, 100.0, 0.0])
 
 
 def test_rate_law_strictly_decreasing_within_range():
     sensor = SensorSpec(mount_deg=0.0, range_m=2.0, r_max_hz=200.0)
-    rates = sensor_rates(sensor, _on_axis([0.01 * k for k in range(200)]))
+    rates = sensor_rates(sensor, _on_axis([0.01 * k for k in range(200)])).tolist()
     assert all(a > b for a, b in zip(rates, rates[1:]))
 
 
@@ -296,6 +298,29 @@ def test_sense_scenario_matches_reference_path(case):
     got = sense_scenario(robot, sensors, traj, dt, mode, seed)
     want = reference_sense(robot, sensors, traj, dt, mode, seed)
     assert [t.times for t in got] == [t.times for t in want]
+
+
+@st.composite
+def _rate_runs(draw):
+    dt = draw(st.sampled_from([0.1, 0.5, 1.0, 2.0, 5.0, 10.0]))
+    full = 1000.0 / dt    # the rate at which a step's p reaches 1
+    level = st.one_of(st.just(0.0), st.just(full), st.floats(0.0, 3.0 * full))
+    runs = draw(st.lists(st.tuples(st.integers(1, 100), level), max_size=6))
+    # Every case holds clamped steps (p = 1) and a long silence between hits.
+    runs += [(draw(st.integers(1, 20)), draw(st.floats(full, 3.0 * full))),
+             (draw(st.integers(50, 400)), 0.0),
+             (draw(st.integers(1, 20)), draw(st.floats(1.0, 3.0 * full)))]
+    return dt, [rate for n, rate in runs for _ in range(n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_rate_runs(), mode=st.sampled_from(list(Encoding)),
+       seed=st.integers(0, 2**32))
+def test_encode_spikes_matches_reference_on_clamped_and_silent_runs(case, mode, seed):
+    dt, rates = case
+    want = reference_sensing.encode_spikes(lambda t: rates[int(t / dt + 1e-9)],
+                                           len(rates) * dt, dt, mode, seed)
+    assert encode_spikes(rates, dt, mode, seed).times == want.times
 
 
 _POISSON_RUN = """
