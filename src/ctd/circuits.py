@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .core import CircuitGraph, ConnectionKind, NeuronParams, Trace
 from .errors import BadArity, NegativeWeight, UnknownNeuron
 
@@ -286,20 +288,16 @@ def build_excitatory_loop_fixture(w_loop: float = 1.2) -> tuple[CircuitGraph, st
 # Readouts
 # --------------------------------------------------------------------------
 
-def read_direction(trace: Trace, unit: PddUnit, window: tuple[float, float]) -> Direction:
-    """Order of first detector activity inside the window.
+def read_direction(firsts: Sequence[float | None]) -> Direction:
+    """Order of a unit's first detector spikes, left to right (None if silent).
 
-    Strictly increasing first-spike times across the active detectors (left to
-    right, at least two active) reads left-to-right; strictly decreasing reads
+    Strictly increasing first-spike times across the active detectors (at
+    least two active) reads left-to-right; strictly decreasing reads
     right-to-left; anything else is undetermined.
     """
-    t0, t1 = window
-    firsts = [(pos, trace.first_spike(nid, t0, t1))
-              for pos, nid in enumerate(unit.detector_ids)]
-    active = [(pos, ft) for pos, ft in firsts if ft is not None]
-    if len(active) < 2:
+    times = [t for t in firsts if t is not None]
+    if len(times) < 2:
         return Direction.UNDETERMINED
-    times = [ft for _, ft in active]
     if all(a < b for a, b in zip(times, times[1:])):
         return Direction.LEFT_TO_RIGHT
     if all(a > b for a, b in zip(times, times[1:])):
@@ -343,12 +341,12 @@ def read_depth(layer: DepthLayer, counts: Mapping[str, int], direction: Directio
 
 def trace_direction(trace: Trace, units: Sequence[PddUnit]) -> Direction:
     """Whole-trace direction: most active unit first, then the others."""
-    window = (0.0, trace.duration)
     ranked = sorted(
         units,
         key=lambda u: (-sum(len(trace.spikes[d]) for d in u.detector_ids), u.index))
     for unit in ranked:
-        d = read_direction(trace, unit, window)
+        d = read_direction([trace.spikes[nid][0] if trace.spikes[nid] else None
+                            for nid in unit.detector_ids])
         if d is not Direction.UNDETERMINED:
             return d
     return Direction.UNDETERMINED
@@ -371,29 +369,34 @@ def classify(trace: Trace, handles: CtdHandles,
             f"window {w} ms exceeds trace duration {trace.duration} ms")
     units = handles.pdd_units
     global_dir = trace_direction(trace, units)
+    starts = [0.0]
+    while starts[-1] + s + w <= trace.duration + 1e-9:
+        starts.append(starts[-1] + s)
+    # One sorted search per neuron and window edge: every window's count and first spike.
+    counts, firsts = {}, {}
+    for nid, times in trace.spikes.items():
+        lo = np.searchsorted(times, starts)
+        counts[nid] = (np.searchsorted(times, np.add(starts, w)) - lo).tolist()
+        firsts[nid] = [times[j] if n else None for j, n in zip(lo.tolist(), counts[nid])]
     readouts: list[CognitiveReadout] = []
-    t0 = 0.0
-    while t0 + w <= trace.duration + 1e-9:
-        window = (t0, t0 + w)
-        det = [[trace.spike_count(d, *window) for d in u.detector_ids] for u in units]
-        best = max(range(len(units)), key=lambda i: (sum(det[i]), -i))
+    for i, t0 in enumerate(starts):
+        det = [[counts[d][i] for d in u.detector_ids] for u in units]
+        best = max(range(len(units)), key=lambda k: (sum(det[k]), -k))
         unit, layer = units[best], handles.depth_layers[best]
         det_count = sum(det[best])
 
-        direction = read_direction(trace, unit, window)
+        direction = read_direction([firsts[d][i] for d in unit.detector_ids])
         if direction is Direction.UNDETERMINED and det_count > 0:
             direction = global_dir
 
         evidence = dict(zip(unit.detector_ids, det[best]))
-        evidence.update((nid, trace.spike_count(nid, *window))
-                        for nid in _depth_layer_ids(layer))
+        evidence.update((nid, counts[nid][i]) for nid in _depth_layer_ids(layer))
         depth, decisiveness = read_depth(layer, evidence, direction, params.theta_active)
-        readouts.append(CognitiveReadout(window=window, direction=direction,
+        readouts.append(CognitiveReadout(window=(t0, t0 + w), direction=direction,
                                          depth=depth, evidence=evidence,
                                          unit_index=unit.index,
                                          decisiveness=decisiveness,
                                          detector_count=det_count))
-        t0 += s
     return readouts
 
 

@@ -31,7 +31,6 @@ the stretch out step by step instead, because decay**span rounds differently.
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import math
 from dataclasses import dataclass
@@ -171,25 +170,6 @@ class Trace:
     @property
     def neuron_ids(self) -> tuple[str, ...]:
         return tuple(self.spikes)
-
-    def spike_count(self, neuron_id: str, t0: float, t1: float) -> int:
-        """Spikes of one neuron in the half-open window [t0, t1)."""
-        times = self.spikes[neuron_id]
-        return bisect.bisect_left(times, t1) - bisect.bisect_left(times, t0)
-
-    def first_spike(self, neuron_id: str, t0: float, t1: float) -> float | None:
-        times = self.spikes[neuron_id]
-        lo = bisect.bisect_left(times, t0)
-        if lo < len(times) and times[lo] < t1:
-            return times[lo]
-        return None
-
-    def last_spike_time(self) -> float | None:
-        last = None
-        for times in self.spikes.values():
-            if times and (last is None or times[-1] > last):
-                last = times[-1]
-        return last
 
 
 def simulate(circuit: CircuitGraph, drive: Mapping[str, SpikeTrain],

@@ -64,34 +64,13 @@ def potential_variation(trace: Trace, monitored: Sequence[str]) -> VariationMetr
 # Per-run checks
 # --------------------------------------------------------------------------
 
-def _multi_spike_starts(times: Sequence[float], w: float) -> list[tuple[float, float]]:
-    # Half-open intervals (lo, hi] of window starts t for which [t, t+w)
-    # contains at least two spikes of this train.
-    intervals: list[tuple[float, float]] = []
-    for a, b in zip(times, times[1:]):
-        if b - a < w:
-            lo, hi = b - w, a
-            if intervals and lo <= intervals[-1][1]:
-                intervals[-1] = (intervals[-1][0], hi)
-            else:
-                intervals.append((lo, hi))
-    return intervals
-
-
-def _any_overlap(a: Sequence[tuple[float, float]],
-                 b: Sequence[tuple[float, float]]) -> bool:
-    # Both lists are sorted and disjoint, so an interval that ends first
-    # cannot overlap anything later in the other list.
-    i = j = 0
-    while i < len(a) and j < len(b):
-        (lo1, hi1), (lo2, hi2) = a[i], b[j]
-        if max(lo1, lo2) < min(hi1, hi2):
-            return True
-        if hi1 <= hi2:
-            i += 1
-        else:
-            j += 1
-    return False
+def _multi_spike_starts(times: Sequence[float], w: float) -> tuple[np.ndarray, np.ndarray]:
+    # Window starts t whose [t, t+w) holds consecutive spikes a < b form the
+    # half-open interval (b - w, a]; both ends rise with a.
+    t = np.asarray(times, dtype=np.float64)
+    a, b = t[:-1], t[1:]
+    close = b - a < w
+    return b[close] - w, a[close]
 
 
 def pdd_exclusivity_ok(trace: Trace, units: Sequence[PddUnit],
@@ -100,9 +79,12 @@ def pdd_exclusivity_ok(trace: Trace, units: Sequence[PddUnit],
     for unit in units:
         per_det = [_multi_spike_starts(trace.spikes[d], window_ms)
                    for d in unit.detector_ids]
-        for i in range(len(per_det)):
-            for j in range(i + 1, len(per_det)):
-                if _any_overlap(per_det[i], per_det[j]):
+        for i, (lo1, hi1) in enumerate(per_det):
+            for lo2, hi2 in per_det[i + 1:]:
+                # Of the intervals ending after lo1, the m-th starts first.
+                m = np.searchsorted(hi2, lo1, "right")
+                inside = m < len(hi2)
+                if np.any(lo2[m[inside]] < hi1[inside]):
                     return False
     return True
 
@@ -110,7 +92,7 @@ def pdd_exclusivity_ok(trace: Trace, units: Sequence[PddUnit],
 def seizure_damped(trace: Trace, drive: Sequence[SpikeTrain],
                    grace_ms: float = SEIZURE_GRACE_MS) -> bool:
     """True when all circuit firing stops within the grace period after drive ends."""
-    last_out = trace.last_spike_time()
+    last_out = max((times[-1] for times in trace.spikes.values() if times), default=None)
     if last_out is None:
         return True
     last_in = max((t.last for t in drive if t.last is not None), default=None)
@@ -151,6 +133,8 @@ def _pick_pair(unit: PddUnit, evidence: dict[str, int]) -> tuple[str, str] | Non
 def _correlation_depths(trace: Trace, handles: CtdHandles, scenario: Scenario,
                         readouts: Sequence[CognitiveReadout]) -> list[DepthState]:
     params = scenario.correlation_params()
+    trains = {nid: SpikeTrain(trace.spikes[nid])
+              for unit in handles.pdd_units for nid in unit.detector_ids}
     depths = []
     for r in readouts:
         unit = handles.pdd_units[r.unit_index]
@@ -158,7 +142,7 @@ def _correlation_depths(trace: Trace, handles: CtdHandles, scenario: Scenario,
         if pair is None:
             depths.append(DepthState.M)
             continue
-        left, right = (SpikeTrain(trace.spikes[nid]).window(*r.window) for nid in pair)
+        left, right = (trains[nid].window(*r.window) for nid in pair)
         depths.append(classify_by_correlation(left, right, r.direction, params,
                                               duration_ms=r.window[1] - r.window[0]))
     return depths

@@ -31,8 +31,8 @@ class SpikeTrain:
     def __post_init__(self) -> None:
         prev = -math.inf
         for t in self.times:
-            if t < 0.0:
-                raise ValueError(f"negative spike time {t}")
+            if not 0.0 <= t < math.inf:
+                raise ValueError(f"spike time {t} must be nonnegative and finite")
             if t <= prev:
                 raise ValueError("spike times must be strictly increasing")
             prev = t
@@ -257,6 +257,9 @@ def encode_spikes(rates: Sequence[float] | np.ndarray, dt_ms: float,
     if dt_ms <= 0:
         raise ValueError("dt must be positive")
     rates = np.asarray(rates, dtype=np.float64)
+    bad = np.flatnonzero(~((rates >= 0.0) & (rates < math.inf)))
+    if bad.size:
+        raise ValueError(f"step {bad[0]}: rate {rates[bad[0]]} Hz is negative or not finite")
     if mode is Encoding.POISSON:
         # One draw per step with p > 0, in step order: the same stream the
         # per-step loop `p > 0.0 and rng.random() < p` consumes.

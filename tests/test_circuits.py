@@ -14,7 +14,10 @@ from ctd.circuits import (CtdParams, DEFAULT_JUDGE_MATRIX, DepthState, Direction
 from ctd.core import CircuitGraph, ConnectionKind, Trace, simulate
 from ctd.errors import BadArity, DuplicatePort, NegativeWeight, UnknownNeuron
 from ctd.harness import pdd_exclusivity_ok
-from ctd.world import SpikeTrain, encode_spikes
+from ctd.scenario import Scenario
+from ctd.world import (SensorSpec, SpikeTrain, Tangent, Waypoints, encode_spikes,
+                       mirror_sensors, mirror_trajectory, sense_scenario)
+import reference_readout
 
 P = CtdParams()
 
@@ -180,27 +183,12 @@ def test_judge_bank_rejects_negative_weights():
         build_judge_bank(circuit, unit, [[0.0, 0.0, -0.1]] + [[0.0] * 3] * 2, P)
 
 
-def _trace_with_first_spikes(ids, firsts) -> Trace:
-    spikes = {nid: ((t,) if t is not None else ()) for nid, t in zip(ids, firsts)}
-    return Trace(dt=1.0, duration=1000.0, spikes=spikes,
-                 potentials=np.zeros((1000, len(spikes))))
-
-
 def test_read_direction_orderings():
-    circuit = CircuitGraph()
-    unit = build_pdd_unit(circuit, ("s0", "s1", "s2"), P, index=0)
-    ids = unit.detector_ids
-    window = (0.0, 1000.0)
-    t = _trace_with_first_spikes(ids, (100.0, 180.0, 260.0))
-    assert read_direction(t, unit, window) is Direction.LEFT_TO_RIGHT
-    t = _trace_with_first_spikes(ids, (260.0, 180.0, 100.0))
-    assert read_direction(t, unit, window) is Direction.RIGHT_TO_LEFT
-    t = _trace_with_first_spikes(ids, (None, 180.0, None))
-    assert read_direction(t, unit, window) is Direction.UNDETERMINED
-    t = _trace_with_first_spikes(ids, (100.0, None, 260.0))
-    assert read_direction(t, unit, window) is Direction.LEFT_TO_RIGHT
-    t = _trace_with_first_spikes(ids, (100.0, 50.0, 260.0))
-    assert read_direction(t, unit, window) is Direction.UNDETERMINED
+    assert read_direction((100.0, 180.0, 260.0)) is Direction.LEFT_TO_RIGHT
+    assert read_direction((260.0, 180.0, 100.0)) is Direction.RIGHT_TO_LEFT
+    assert read_direction((None, 180.0, None)) is Direction.UNDETERMINED
+    assert read_direction((100.0, None, 260.0)) is Direction.LEFT_TO_RIGHT
+    assert read_direction((100.0, 50.0, 260.0)) is Direction.UNDETERMINED
 
 
 def _ddm_counts(up: int, down: int):
@@ -330,3 +318,114 @@ def test_pdd_exclusivity_matches_all_pairs_oracle(trains, width):
     trace = Trace(dt=0.5, duration=51.0, spikes=dict(zip(unit.detector_ids, trains)),
                   potentials=np.zeros((1, 3)))
     assert pdd_exclusivity_ok(trace, [unit], width) == _exclusive_by_all_pairs(trains, width)
+
+
+# --------------------------------------------------------------------------
+# Readout and exclusivity against the per-window bisect reference
+# --------------------------------------------------------------------------
+
+@st.composite
+def _spiking_traces(draw):
+    """Random spikes for every neuron of a ddm or judge-bank circuit, on a dt
+    grid and on the readout's own window edges; a neuron may stay silent."""
+    circuit, handles = build_ctd(draw(st.sampled_from([3, 6])),
+                                 draw(st.sampled_from(["ddm", "weights"])), P)
+    dt = draw(st.sampled_from([1.0, 0.1, 0.25, 0.3]))
+    w = draw(st.sampled_from([10.0, 3.3, 1.0]))
+    stride = w * draw(st.sampled_from([1.0, 0.5, 0.7, 0.45, 1.3]))
+    n_steps = draw(st.integers(int(w / dt) + 1, int(4 * w / dt) + 1))
+    duration = n_steps * dt
+    # The edges come from the readout's own `t0 += stride` sums, so spikes
+    # land on window starts and ends exactly.
+    edges = []
+    t0 = 0.0
+    while t0 + w <= duration + 1e-9:
+        edges += [t for t in (t0, t0 + w) if t < duration]
+        t0 += stride
+    times = st.one_of(st.integers(0, n_steps - 1).map(lambda k: k * dt),
+                      st.sampled_from(edges))
+    spikes = {nid: tuple(sorted(set(draw(st.lists(times, max_size=12)))))
+              for nid in circuit.neuron_ids}
+    trace = Trace(dt=dt, duration=duration, spikes=spikes,
+                  potentials=np.zeros((1, len(spikes))))
+    return trace, handles, CtdParams(window_ms=w, stride_ms=stride)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_spiking_traces())
+def test_classify_matches_per_window_bisect_reference(case):
+    trace, handles, params = case
+    assert classify(trace, handles, params) == reference_readout.classify(
+        trace, handles, params)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_spiking_traces())
+def test_pdd_exclusivity_matches_interval_merge_reference(case):
+    trace, handles, params = case
+    units, w = handles.pdd_units, params.window_ms
+    assert pdd_exclusivity_ok(trace, units, w) == reference_readout.pdd_exclusivity_ok(
+        trace, units, w)
+
+
+def test_pdd_exclusivity_allows_multi_spike_windows_that_only_touch():
+    # The pair (0, 5) fills the 10 ms windows starting in (-5, 0], the pair
+    # (8, 10) those starting in (0, 8]: no window holds both. Moving 10 to 9.5
+    # adds the starts (-0.5, 0], which both pairs fill.
+    circuit = CircuitGraph()
+    unit = build_pdd_unit(circuit, ("s0", "s1", "s2"), P, index=0)
+    for second, exclusive in (((8.0, 10.0), True), ((8.0, 9.5), False)):
+        trace = Trace(dt=0.5, duration=20.0,
+                      spikes=dict(zip(unit.detector_ids, ((0.0, 5.0), second, ()))),
+                      potentials=np.zeros((1, 3)))
+        assert pdd_exclusivity_ok(trace, [unit]) is exclusive
+        assert reference_readout.pdd_exclusivity_ok(trace, [unit], 10.0) is exclusive
+
+
+# --------------------------------------------------------------------------
+# Mirrored passes
+# --------------------------------------------------------------------------
+
+# Slow passes close ahead of the robot, so depth modules get to fire.
+_ahead = st.tuples(st.floats(-1.0, 1.0), st.floats(0.05, 1.0))
+
+
+@st.composite
+def _one_unit_passes(draw):
+    sensors = tuple(SensorSpec(mount_deg=m, cone_half_deg=draw(st.floats(5.0, 60.0)))
+                    for m in (-30.0, 0.0, 30.0))
+    duration = 1000.0
+    if draw(st.booleans()):
+        traj = Tangent(closest=draw(_ahead),
+                       velocity_mps=draw(st.tuples(st.floats(-0.6, 0.6),
+                                                   st.floats(-0.6, 0.6))),
+                       t_center_ms=draw(st.floats(0.0, duration)), duration_ms=duration)
+    else:
+        knots = sorted(draw(st.lists(st.floats(0.0, duration), min_size=1, max_size=5,
+                                     unique=True)))
+        traj = Waypoints(points=tuple((t, draw(_ahead)) for t in knots),
+                         duration_ms=duration)
+    return sensors, traj
+
+
+def _ddm_readouts(sensors, traj):
+    circuit, handles = build_ctd(len(sensors), "ddm", P)
+    trains = sense_scenario(Scenario().pose(), sensors, traj, 1.0)
+    drive = {f"sensor{i}": train for i, train in enumerate(trains)}
+    return classify(simulate(circuit, drive, traj.duration_ms, 1.0), handles, P)
+
+
+@settings(max_examples=75, deadline=None)
+@given(case=_one_unit_passes())
+def test_mirrored_pass_flips_direction_and_keeps_depth(case):
+    # One PDD unit only: with several, a tie on detector spikes goes to the
+    # lower unit index, which mirroring does not preserve.
+    sensors, traj = case
+    pose = Scenario().pose()
+    base = _ddm_readouts(sensors, traj)
+    mirrored = _ddm_readouts(mirror_sensors(sensors), mirror_trajectory(pose, traj))
+    assert len(base) == len(mirrored)
+    for r, m in zip(base, mirrored):
+        assert m.direction is r.direction.flipped()
+        assert (m.depth, m.decisiveness, m.detector_count) == (
+            r.depth, r.decisiveness, r.detector_count)

@@ -37,9 +37,21 @@ def test_spike_train_validation():
         SpikeTrain((1.0, 1.0))
     with pytest.raises(ValueError):
         SpikeTrain((-1.0,))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=str(bad)):
+            SpikeTrain((0.0, bad))
+        with pytest.raises(ValueError, match=str(bad)):
+            SpikeTrain((bad,))
     train = SpikeTrain((1.0, 5.0, 9.0))
     assert len(train.window(1.0, 9.0)) == 2
     assert train.window(4.0, 10.0).times == (1.0, 5.0)
+
+
+@pytest.mark.parametrize("mode", list(Encoding))
+@pytest.mark.parametrize("bad", [-50.0, math.nan, math.inf, -math.inf])
+def test_encode_spikes_rejects_negative_and_nonfinite_rates(mode, bad):
+    with pytest.raises(ValueError, match=f"step 2: rate {bad} Hz"):
+        encode_spikes([100.0, 0.0, bad, 100.0, bad], 1.0, mode, seed=0)
 
 
 def _held_spikes(robot: Pose, sensor: SensorSpec, agent: tuple[float, float]) -> int:
