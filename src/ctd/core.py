@@ -3,30 +3,32 @@
 The model is deliberately minimal: exact exponential leak per step, synapses
 deliver signed instantaneous current deltas after an integer step delay, and
 all deliveries arriving at one step are summed (math.fsum, so the result does
-not depend on synapse ordering) before the threshold test. One step of a
-neuron is
+not depend on synapse ordering) before the threshold test. Every neuron rests
+at 0 below a positive threshold, and one step of a neuron is
 
-    v <- v_rest + (v - v_rest) * exp(-dt / tau_m) + sum(deliveries)
+    v <- 0.0 + v * exp(-dt / tau_m) + sum(deliveries)
 
-clamped below at v_floor; the neuron fires, resets to v_reset and starts its
-refractory period when v reaches v_threshold and t is at or past the end of
-the previous refractory period. A spike fired at step k reaches its targets
-at step k + delay, never within step k (observation, then commit); each drive
-spike delivers its input port's weight once.
+clamped below at v_floor <= min(v_reset, 0); the neuron fires, resets to
+v_reset and starts its refractory period when v reaches v_threshold and t is
+at or past the end of the previous refractory period. A spike fired at step k
+reaches its targets at step k + delay, never within step k (observation, then
+commit); each drive spike delivers its input port's weight once.
 
-`simulate` holds the state as plain per-neuron lists and is event driven. It
-applies that update to every neuron, one step at a time, only at event steps:
-a step at which some delivery is due, and the step after one that left a
-neuron at or above its threshold. Between events every neuron only decays.
-When every neuron has v_rest == 0 and v_threshold > v_rest, a decaying neuron
-can neither fire nor reach its floor, and the update reduces to
-0.0 + v * decay + 0.0. A quiet stretch is then filled with one
-np.multiply.accumulate over a (steps, neurons) block, which multiplies in the
-same order, followed by + 0.0, which gives a zero the same sign: the
-potentials are bit-identical to stepping. A circuit with any other neuron
-treats every step as an event. Rotter & Diesmann (1999) advance such linear
-stretches with the closed-form propagator decay**span; the block multiplies
-the stretch out step by step instead, because decay**span rounds differently.
+`simulate` holds the state in the potentials array and is event driven, in
+the hybrid clock/event scheme of Brette et al. (2007). Every stretch of steps
+up to and including the next event step is first decayed in one block, one
+np.multiply.accumulate over (steps, neurons) followed by + 0.0: row k is
+v * decay + 0.0, which equals the update above without deliveries, signed
+zeros included, and is never -0.0. An event step is one at which some
+delivery is due, or the step after one that left a neuron at or above its
+threshold inside its refractory period; at it, only the neurons with
+arrivals or left at threshold are updated, from their decayed value: x =
+row + fsum(deliveries), which is the update above bit for bit. Every other
+neuron lay below its positive threshold and at or above v_floor <= 0, so
+decay alone can neither fire nor clamp it. Rotter & Diesmann (1999) advance
+linear stretches with the closed-form propagator decay**span; the block
+multiplies the stretch out step by step instead, because decay**span rounds
+differently.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ class NeuronParams:
     """Membrane constants; times in ms, potentials dimensionless."""
 
     tau_m: float = 20.0
-    v_rest: float = 0.0
     v_threshold: float = 1.0
     v_reset: float = 0.0
     refractory: float = 2.0
@@ -59,12 +60,12 @@ class NeuronParams:
             raise ValueError("tau_m must be positive")
         if self.refractory < 0:
             raise ValueError("refractory must be nonnegative")
+        if not self.v_threshold > 0:
+            raise ValueError("v_threshold must lie above the resting potential 0")
         if not self.v_reset < self.v_threshold:
             raise ValueError("v_reset must lie below v_threshold")
-        if not self.v_rest <= self.v_threshold:
-            raise ValueError("v_rest must not exceed v_threshold")
-        if self.v_floor > min(self.v_reset, self.v_rest):
-            raise ValueError("v_floor must lie at or below v_reset and v_rest")
+        if not self.v_floor <= min(self.v_reset, 0.0):
+            raise ValueError("v_floor must lie at or below v_reset and 0")
 
 
 class ConnectionKind(Enum):
@@ -176,12 +177,11 @@ def simulate(circuit: CircuitGraph, drive: Mapping[str, SpikeTrain],
              duration: float, dt: float) -> Trace:
     """Run the circuit against per-port drive trains; deterministic end to end.
 
-    Steps that receive a delivery, and steps after one that left a neuron at
-    or above threshold, are stepped one at a time; the quiet stretches between
-    them are filled in one block when the circuit allows it (module docstring).
+    Each stretch up to the next event step decays in one block; at the event
+    step only the neurons it touches are updated (module docstring).
     """
-    if duration <= 0 or dt <= 0:
-        raise ValueError("duration and dt must be positive")
+    if not (0 < duration < math.inf and 0 < dt < math.inf):
+        raise ValueError("duration and dt must be positive and finite")
     n_steps = int(round(duration / dt))
     if abs(n_steps * dt - duration) > 1e-9:
         raise ValueError("duration must be an integer multiple of dt")
@@ -207,47 +207,43 @@ def simulate(circuit: CircuitGraph, drive: Mapping[str, SpikeTrain],
         outgoing[index[syn.pre]].append((syn.delay, index[syn.post], syn.signed_weight))
 
     params = [circuit.params_of(nid) for nid in ids]
-    decay = [math.exp(-dt / p.tau_m) for p in params]
-    v_rest = [p.v_rest for p in params]
     v_threshold = [p.v_threshold for p in params]
     v_reset = [p.v_reset for p in params]
     v_floor = [p.v_floor for p in params]
     refractory = [p.refractory for p in params]
-    every_step = not all(p.v_rest == 0.0 and p.v_threshold > p.v_rest for p in params)
 
     n = len(ids)
-    v = list(v_rest)
     refractory_until = [-math.inf] * n
     spikes: list[list[float]] = [[] for _ in ids]
     potentials = np.empty((n_steps, n))
-    decay_row = np.array(decay)
-    hot = every_step  # whether step k must be stepped even without arrivals
+    decay_row = np.array([math.exp(-dt / p.tau_m) for p in params])
+    v = np.zeros(n)  # the potentials after the previous step
+    hot: list[int] = []  # neurons the previous step left at or above threshold
     k = 0
     while k < n_steps:
-        quiet_end = k if hot else (min(due[0], n_steps) if due else n_steps)
-        if quiet_end > k:
-            # Row j of the block is v * decay**(j+1), multiplied one step at a
-            # time; + 0.0 gives a zero the sign the scalar update gives it.
-            block = potentials[k:quiet_end]
-            block[:] = decay_row
-            block[0] *= v
-            np.multiply.accumulate(block, axis=0, out=block)
-            block += 0.0
-            v = block[-1].tolist()
-            k = quiet_end
-            continue
+        # The next event step, or the last step if none is left.
+        event = k if hot else min(due[0], n_steps - 1) if due else n_steps - 1
+        # Row j of the block is v * decay**(j+1), multiplied one step at a
+        # time; + 0.0 gives a zero the sign the scalar update gives it.
+        block = potentials[k:event + 1]
+        block[:] = decay_row
+        block[0] *= v
+        np.multiply.accumulate(block, axis=0, out=block)
+        block += 0.0
+        v = block[-1]
+        k = event + 1
 
-        t = k * dt
         arrivals: dict[int, list[float]] = {}
-        if due and due[0] == k:
+        if due and due[0] == event:
             heapq.heappop(due)
-            arrivals = pending.pop(k)
-        hot = every_step
+            arrivals = pending.pop(event)
+        t = event * dt
+        touched = arrivals.keys() | hot
+        hot = []
         fired = []
-        for i in range(n):
+        for i in touched:
             inputs = arrivals.get(i)
-            x = (v_rest[i] + (v[i] - v_rest[i]) * decay[i]
-                 + (math.fsum(inputs) if inputs else 0.0))
+            x = v.item(i) + math.fsum(inputs) if inputs else v.item(i)
             if x < v_floor[i]:
                 x = v_floor[i]
             if x >= v_threshold[i]:
@@ -256,19 +252,17 @@ def simulate(circuit: CircuitGraph, drive: Mapping[str, SpikeTrain],
                     refractory_until[i] = t + refractory[i]
                     fired.append(i)
                 else:
-                    hot = True
+                    hot.append(i)
             v[i] = x
-        potentials[k] = v
 
         for i in fired:
             spikes[i].append(t)
             for delay, post, weight in outgoing[i]:
-                slot = pending.get(k + delay)
+                slot = pending.get(event + delay)
                 if slot is None:
-                    slot = pending[k + delay] = {}
-                    heapq.heappush(due, k + delay)
+                    slot = pending[event + delay] = {}
+                    heapq.heappush(due, event + delay)
                 slot.setdefault(post, []).append(weight)
-        k += 1
 
     return Trace(dt=dt, duration=duration,
                  spikes={nid: tuple(spikes[i]) for i, nid in enumerate(ids)},

@@ -180,12 +180,15 @@ class Scenario:
             raise ValidationError(
                 f"overrides.corr_lag_bins {corr.lag_bins!r} must be at most {bins}, "
                 f"the bins in one readout window")
-        try:
-            for neuron in (params.detector_neuron, params.regulatory_neuron,
-                           params.assessing_neuron, params.judge_neuron):
+        for kind, neuron in (("detector", params.detector_neuron),
+                             ("regulatory", params.regulatory_neuron),
+                             ("assessing", params.assessing_neuron),
+                             ("judge", params.judge_neuron)):
+            try:
                 neuron()
-        except ValueError as exc:
-            raise ValidationError(f"overrides give an invalid neuron: {exc}") from None
+            except ValueError as exc:
+                raise ValidationError(
+                    f"overrides give an invalid {kind} neuron: {exc}") from None
 
     def pose(self) -> Pose:
         return Pose(self.robot_x, self.robot_y, math.radians(self.robot_heading_deg))
@@ -227,8 +230,11 @@ def _knots(value: Any) -> tuple[tuple[float, tuple[float, float]], ...]:
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
             raise ValidationError(f"trajectory.points[{i}] must be [t_ms, [x, y]], "
                                   f"got {entry!r}")
-        knots.append((_number(entry[0], f"trajectory.points[{i}][0]"),
-                      _point(entry[1], f"trajectory.points[{i}][1]")))
+        t = _number(entry[0], f"trajectory.points[{i}][0]")
+        if knots and t <= knots[-1][0]:
+            raise ValidationError(f"trajectory.points[{i}][0] {t!r} must be later than "
+                                  f"the previous knot time {knots[-1][0]!r}")
+        knots.append((t, _point(entry[1], f"trajectory.points[{i}][1]")))
     return tuple(knots)
 
 
@@ -242,10 +248,7 @@ def _parse_trajectory(obj: Any, duration_ms: float) -> Trajectory:
     keys = _TRAJECTORY_KEYS[kind]
     _require_keys(obj, {"kind", *keys}, "trajectory")
     if kind == "waypoints":
-        try:
-            return Waypoints(points=_knots(obj.get("points")), duration_ms=duration_ms)
-        except ValueError as exc:
-            raise ValidationError(str(exc)) from None
+        return Waypoints(points=_knots(obj.get("points")), duration_ms=duration_ms)
     default = canonical_trajectory(kind, duration_ms)
     given = {}
     for key, name in keys.items():

@@ -22,10 +22,11 @@ class NeuronState:
 
 def step_neuron(state: NeuronState, params: NeuronParams, synaptic_input: float,
                 t: float, dt: float) -> tuple[NeuronState, bool]:
-    """Exact exponential leak, then the summed input delta, then the floor;
-    past the refractory window, reaching threshold fires and resets."""
+    """Exact exponential leak toward rest at 0, then the summed input delta,
+    then the floor; past the refractory window, reaching threshold fires and
+    resets."""
     decay = math.exp(-dt / params.tau_m)
-    v = params.v_rest + (state.v - params.v_rest) * decay + synaptic_input
+    v = 0.0 + (state.v - 0.0) * decay + synaptic_input
     if v < params.v_floor:
         v = params.v_floor
     if t >= state.refractory_until and v >= params.v_threshold:
@@ -50,7 +51,7 @@ def reference_simulate(circuit: CircuitGraph, drive: Mapping[str, SpikeTrain],
             pending.setdefault(k, {}).setdefault(spec.neuron, []).append(spec.weight)
 
     ids = circuit.neuron_ids
-    states = {nid: NeuronState(v=circuit.params_of(nid).v_rest) for nid in ids}
+    states = {nid: NeuronState(v=0.0) for nid in ids}
     spikes: dict[str, list[float]] = {nid: [] for nid in ids}
     potentials: dict[str, list[float]] = {nid: [] for nid in ids}
     for k in range(n_steps):

@@ -259,6 +259,10 @@ _THREE_SENSORS = [{"mount_deg": -30}, {"mount_deg": 0}, {"mount_deg": 30}]
     ({"trajectory": {"kind": "waypoints",
                      "points": [[0, [0.0, 1.0]], [100, [math.nan, 1.0]]]}},
      "trajectory.points[1][1]"),
+    ({"trajectory": {"kind": "waypoints", "points": [[10, [0, 1]], [5, [1, 1]]]}},
+     "trajectory.points[1][0]"),
+    ({"overrides": {"assess_threshold": 0.0, "assess_reset": -0.1,
+                    "assess_floor": -0.2}}, "assessing"),
     ({"name": ""}, "name ''"),
     ({"name": "."}, "name '.'"),
     ({"name": ".."}, "name '..'"),
@@ -270,6 +274,7 @@ _THREE_SENSORS = [{"mount_deg": -30}, {"mount_deg": 0}, {"mount_deg": 30}]
         "unhashable-expect", "nan-robot-x", "infinite-robot-y",
         "infinite-robot-heading", "nan-closest", "infinite-t-center",
         "infinite-from", "nan-to", "infinite-waypoint-time", "nan-waypoint-point",
+        "unordered-waypoints", "threshold-at-rest",
         "empty-name", "dot-name", "dot-dot-name", "escaping-name", "backslash-name"])
 def test_cli_rejects_broken_scenarios(tmp_path, capsys, doc, field):
     # json.dumps writes NaN and Infinity tokens, which json.loads accepts;
