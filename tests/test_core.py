@@ -293,7 +293,7 @@ _PORT_WEIGHTS = st.one_of(st.sampled_from([1.2, 0.3, -0.4, 0.0, -0.0, -5.0]),
 
 
 @st.composite
-def _simulations(draw):
+def _simulations(draw, sparse: bool):
     n = draw(st.integers(1, 6))
     c = CircuitGraph()
     for i in range(n):
@@ -304,18 +304,26 @@ def _simulations(draw):
                       draw(st.sampled_from([EXC, INH])), draw(_MAGNITUDES),
                       delay=draw(st.integers(1, 3)))
     dt = draw(st.sampled_from([0.1, 0.5, 1.0, 2.0]))
-    n_steps = draw(st.integers(1, 300))
+    n_steps = draw(st.integers(1, 2000 if sparse else 300))
     drive = {}
     for p in range(draw(st.integers(1, 3))):
         c.add_input_port(f"p{p}", f"n{draw(st.integers(0, n - 1))}", draw(_PORT_WEIGHTS))
-        steps = draw(st.sets(st.integers(0, n_steps - 1), max_size=60))
+        steps = draw(st.sets(st.integers(0, n_steps - 1), max_size=4 if sparse else 60))
         drive[f"p{p}"] = SpikeTrain(tuple(k * dt for k in sorted(steps)))
     return c, drive, n_steps * dt, dt
 
 
-@settings(max_examples=500, deadline=None)
-@given(_simulations())
+@settings(max_examples=300, deadline=None)
+@given(_simulations(sparse=False))
 def test_simulate_matches_reference_kernel(case):
+    _assert_matches_reference(*case)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_simulations(sparse=True))
+def test_quiet_span_shortcut_matches_reference_kernel(case):
+    # Up to 2,000 steps with a few drive spikes per port, so most of each run
+    # is long quiet stretches that simulate decays in blocks.
     _assert_matches_reference(*case)
 
 
