@@ -7,7 +7,7 @@ import json
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -15,7 +15,7 @@ from .circuits import (CognitiveReadout, CtdHandles, DepthState, PddUnit,
                        build_ctd, classify, dominant_readout)
 from .core import CircuitGraph, Trace, simulate
 from .correlation import classify_by_correlation
-from .errors import UnknownNeuron
+from .errors import CtdError, UnknownNeuron
 from .scenario import Scenario, scenario_to_json
 from .version import __version__
 from .world import SpikeTrain, sense_scenario
@@ -221,20 +221,53 @@ def compare_variants(scenario: Scenario) -> VariantComparison:
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
     """Write the header and then each row as one CRLF-ended line of str fields.
 
-    The bytes are those of csv's default dialect as long as no field holds a
-    comma, a quote or a line break and every number is a Python float, whose
-    str is its shortest round-trip repr. The trace files hold only such floats
-    and the neuron ids, roles and enum values made by the circuit builders.
-    Rows are written as they come, so no whole file is held in memory.
+    A field is a str, as `_float_rows` makes them, or a value whose str is
+    written. The bytes are those of csv's default dialect as long as no field
+    holds a comma, a quote or a line break and every number is a Python float,
+    whose str is its shortest round-trip repr. The trace files hold only such
+    floats and the neuron ids, roles and enum values made by the circuit
+    builders. Rows are written as they come, so no whole file is held in memory.
     """
-    with path.open("w", newline="") as fh:
-        fh.writelines(",".join(map(str, row)) + "\r\n" for row in chain((header,), rows))
+    try:
+        with path.open("w", newline="") as fh:
+            fh.writelines(",".join(map(str, row)) + "\r\n"
+                          for row in chain((header,), rows))
+    except OSError as exc:
+        raise CtdError(f"cannot write {path}: {exc.strerror}") from None
     return path
+
+
+_BLOCK_CELLS = 8192
+
+
+def _float_rows(values: np.ndarray, dt: float) -> Iterator[list[str]]:
+    """Rows `(k * dt, *values[k])` as the repr of each float.
+
+    Each distinct cell of a block of about `_BLOCK_CELLS` cells is formatted
+    once. Cells are keyed by bit pattern, not value, so that -0.0 keeps its own
+    repr; pattern 0 is 0.0, most of a potential trace, and skips the sort.
+    Blocks, not the whole trace, keep the index arrays and strings small.
+    """
+    n, m = values.shape
+    step = max(1, _BLOCK_CELLS // (m + 1))
+    for s in range(0, n, step):
+        # int k to float64 is exact below 2**53, so each time is k * dt's bits.
+        block = np.column_stack((np.arange(s, min(s + step, n)) * dt, values[s:s + step]))
+        bits = block.view(np.int64).ravel()
+        live = bits != 0
+        keys, inv = np.unique(bits[live], return_inverse=True)
+        text = np.array(["0.0", *map(repr, keys.view(np.float64).tolist())], dtype=object)
+        index = np.zeros(bits.size, dtype=np.intp)
+        index[live] = inv + 1
+        yield from text[index].reshape(block.shape).tolist()
 
 
 def write_json(path: Path, doc: Any) -> Path:
     """Write doc as JSON with two-space indent, sorted keys and a final newline."""
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    try:
+        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    except OSError as exc:
+        raise CtdError(f"cannot write {path}: {exc.strerror}") from None
     return path
 
 
@@ -265,10 +298,8 @@ def emit_outputs(artifacts: RunArtifacts, out_dir: str | Path) -> list[Path]:
     return [
         _write_csv(out / "spikes.csv", ("time_ms", "neuron_id", "neuron_role"),
                    ((t, nid, role_of(nid)) for t, nid in spikes)),
-        # One row's floats at a time: tolist() per row keeps memory flat.
         _write_csv(out / "potentials.csv", ("time_ms", *trace.neuron_ids),
-                   ((k * trace.dt, *row.tolist())
-                    for k, row in enumerate(trace.potentials))),
+                   _float_rows(trace.potentials, trace.dt)),
         _write_csv(out / "states.csv",
                    ("window_start_ms", "window_end_ms", "direction",
                     "depth_circuit", "depth_correlation"),

@@ -141,15 +141,14 @@ class _SegmentPath:
     speed_mps: float
     duration_ms: float
 
-    def position(self, t_ms: float) -> Point:
+    def positions(self, t_ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         dx = self.goal[0] - self.start[0]
         dy = self.goal[1] - self.start[1]
         length = math.hypot(dx, dy)
         if length == 0.0:
-            return self.start
-        travelled = min(self.speed_mps * t_ms / 1000.0, length)
-        f = travelled / length
-        return (self.start[0] + dx * f, self.start[1] + dy * f)
+            return np.full(t_ms.shape, self.start[0]), np.full(t_ms.shape, self.start[1])
+        f = np.minimum(self.speed_mps * t_ms / 1000.0, length) / length
+        return self.start[0] + dx * f, self.start[1] + dy * f
 
 
 @dataclass(frozen=True)
@@ -172,7 +171,7 @@ class Tangent:
     duration_ms: float
     kind = "tangent"
 
-    def position(self, t_ms: float) -> Point:
+    def positions(self, t_ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         dt_s = (t_ms - self.t_center_ms) / 1000.0
         return (self.closest[0] + self.velocity_mps[0] * dt_s,
                 self.closest[1] + self.velocity_mps[1] * dt_s)
@@ -197,17 +196,18 @@ class Waypoints:
             prev = t
         object.__setattr__(self, "knot_times", tuple(t for t, _ in self.points))
 
-    def position(self, t_ms: float) -> Point:
-        pts = self.points
-        if t_ms <= pts[0][0]:
-            return pts[0][1]
-        if t_ms >= pts[-1][0]:
-            return pts[-1][1]
-        idx = bisect.bisect_right(self.knot_times, t_ms) - 1
-        t0, p0 = pts[idx]
-        t1, p1 = pts[idx + 1]
-        f = (t_ms - t0) / (t1 - t0)
-        return (p0[0] + (p1[0] - p0[0]) * f, p0[1] + (p1[1] - p0[1]) * f)
+    def positions(self, t_ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        knots = np.array(self.knot_times)
+        xs, ys = np.array([p for _, p in self.points], dtype=np.float64).T
+        if len(knots) == 1:
+            return np.full(t_ms.shape, xs[0]), np.full(t_ms.shape, ys[0])
+        # Times outside the knots interpolate on an end segment, then take the
+        # held end point, which the interpolation need not give bit for bit.
+        i = np.clip(np.searchsorted(knots, t_ms, "right") - 1, 0, len(knots) - 2)
+        f = (t_ms - knots[i]) / (knots[i + 1] - knots[i])
+        before, after = t_ms <= knots[0], t_ms >= knots[-1]
+        return tuple(np.where(before, c[0], np.where(after, c[-1], c[i] + (c[i + 1] - c[i]) * f))
+                     for c in (xs, ys))
 
 
 Trajectory = Approach | Recede | Tangent | Waypoints
@@ -217,7 +217,8 @@ def agent_position(traj: Trajectory, t_ms: float) -> Point:
     """Agent position at time t; raises OutOfRange outside [0, duration]."""
     if not (0.0 <= t_ms <= traj.duration_ms):
         raise OutOfRange(f"t={t_ms} outside [0, {traj.duration_ms}]")
-    return traj.position(t_ms)
+    x, y = traj.positions(np.array([t_ms], dtype=np.float64))
+    return float(x[0]), float(y[0])
 
 
 # --------------------------------------------------------------------------
@@ -274,15 +275,26 @@ def encode_spikes(rates: Sequence[float] | np.ndarray, dt_ms: float,
     phase = 0.0
     err = 0.0
     crossed = 0
-    for k, rate in enumerate(rates.tolist()):
-        term = rate * dt_ms / 1000.0
+    values = rates.tolist()
+    nonzero = np.flatnonzero(rates).tolist()
+    k = 0
+    while k < len(values):
+        term = values[k] * dt_ms / 1000.0
         y = term - err
         s = phase + y
-        err = (s - phase) - y
-        phase = s
+        e = (s - phase) - y
+        # A zero-rate step that leaves (phase, err) as they were, with no
+        # catch-up spike owed, is a fixed point: every step up to the next
+        # nonzero rate repeats it, so skip there.
+        if term == 0.0 and s == phase and e == err and math.floor(phase) <= crossed:
+            i = bisect.bisect_right(nonzero, k)
+            k = nonzero[i] if i < len(nonzero) else len(values)
+            continue
+        phase, err = s, e
         if math.floor(phase) > crossed:
             crossed += 1
             times.append(k * dt_ms)
+        k += 1
     return SpikeTrain(tuple(times))
 
 
@@ -297,15 +309,13 @@ def sense_scenario(robot: Pose, sensors: Sequence[SensorSpec], traj: Trajectory,
     if not sensors:
         raise ValueError("sensor list must not be empty")
     ch, sh = _snapped_trig(robot.heading)
-    rows = []
-    for k in range(int(round(traj.duration_ms / dt_ms))):
-        x, y = agent_position(traj, k * dt_ms)
-        dx = x - robot.x
-        dy = y - robot.y
-        u = dx * sh - dy * ch
-        v = dx * ch + dy * sh
-        rows.append((u, v, math.hypot(u, v)))
-    frames = np.array(rows, dtype=np.float64).reshape(-1, 3)
+    x, y = traj.positions(np.arange(int(round(traj.duration_ms / dt_ms))) * dt_ms)
+    dx, dy = x - robot.x, y - robot.y
+    u = dx * sh - dy * ch
+    v = dx * ch + dy * sh
+    # math.hypot, not np.hypot, which can differ in the last bit.
+    d = np.fromiter(map(math.hypot, u.tolist(), v.tolist()), np.float64, len(u))
+    frames = np.column_stack((u, v, d))
     return [encode_spikes(sensor_rates(sensor, frames), dt_ms, mode,
                           seed=f"{seed}:{i}" if mode is Encoding.POISSON else None)
             for i, sensor in enumerate(sensors)]

@@ -1,18 +1,47 @@
 """Reference sensing path: the per-sensor, per-step scalar code that
-`ctd.world.sense_scenario` replaced. Each sensor-step recomputes the robot
-frame and the sensor's trig, the rate law is its own function, and the
-encoder reads the rates through a callable of time. The property tests in
+`ctd.world.sense_scenario` replaced. The agent's position is computed one
+time at a time, each sensor-step recomputes the robot frame and the sensor's
+trig, the rate law is its own function, and the encoder reads the rates
+through a callable of time, one step after another. The property tests in
 test_world.py require `sense_scenario` to reproduce it spike for spike.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 from typing import Callable, Sequence
 
-from ctd.world import (Encoding, Point, Pose, SensorSpec, SpikeTrain, Trajectory,
-                       _snapped_trig, agent_position)
+from ctd.world import (Encoding, Point, Pose, SensorSpec, SpikeTrain, Tangent, Trajectory,
+                       Waypoints, _snapped_trig)
+
+
+def agent_position(traj: Trajectory, t_ms: float) -> Point:
+    """Agent position at time t, one scalar step of each trajectory kind."""
+    if isinstance(traj, Tangent):
+        dt_s = (t_ms - traj.t_center_ms) / 1000.0
+        return (traj.closest[0] + traj.velocity_mps[0] * dt_s,
+                traj.closest[1] + traj.velocity_mps[1] * dt_s)
+    if isinstance(traj, Waypoints):
+        pts = traj.points
+        if t_ms <= pts[0][0]:
+            return pts[0][1]
+        if t_ms >= pts[-1][0]:
+            return pts[-1][1]
+        idx = bisect.bisect_right(traj.knot_times, t_ms) - 1
+        t0, p0 = pts[idx]
+        t1, p1 = pts[idx + 1]
+        f = (t_ms - t0) / (t1 - t0)
+        return (p0[0] + (p1[0] - p0[0]) * f, p0[1] + (p1[1] - p0[1]) * f)
+    dx = traj.goal[0] - traj.start[0]
+    dy = traj.goal[1] - traj.start[1]
+    length = math.hypot(dx, dy)
+    if length == 0.0:
+        return traj.start
+    travelled = min(traj.speed_mps * t_ms / 1000.0, length)
+    f = travelled / length
+    return (traj.start[0] + dx * f, traj.start[1] + dy * f)
 
 
 def robot_frame(robot: Pose, agent: Point) -> tuple[float, float]:

@@ -4,21 +4,27 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctd.circuits import DepthState, Direction
 from ctd.cli import main as cli_main
 from ctd.core import Trace
 from ctd.errors import UnknownNeuron
-from ctd.harness import (compare_variants, emit_outputs, potential_variation,
-                         run_scenario)
+from ctd.harness import (_BLOCK_CELLS, compare_variants, emit_outputs,
+                         potential_variation, run_scenario)
 from ctd.scenario import Scenario, emit_scenario
 from ctd.suite import canonical_scenario, scripted_scenario
 from ctd.world import Encoding, SensorSpec, Tangent
+from reference_emit import potentials_csv
 
 
 def _flat_trace(samples: dict[str, tuple[float, ...]], dt=1.0) -> Trace:
@@ -187,6 +193,45 @@ def test_emit_outputs_reruns_are_byte_identical(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes() == (c / name).read_bytes()
 
 
+# Floats whose repr is an edge: signed zeros, subnormals, the largest
+# subnormal and smallest normal, and both sides of the switches to
+# exponent notation at 1e16 and 1e-4.
+_EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.225073858507201e-308,
+                2.2250738585072014e-308, 9999999999999998.0, 1e16, 1.0000000000000002e16,
+                -1e16, 0.0001, 9.999999999999999e-05, 0.00010000000000000002, 1e-05,
+                9.999999999999999e-06, -1e-05, 1.5, -0.25)
+
+
+@st.composite
+def _potential_tables(draw):
+    width = draw(st.integers(1, 130))
+    block_rows = max(1, _BLOCK_CELLS // (width + 1))
+    rows = draw(st.sampled_from([0, 1, block_rows - 1, block_rows, block_rows + 1,
+                                 3 * block_rows + draw(st.integers(1, block_rows))]))
+    # Cells come from a small pool, so values repeat across rows and columns.
+    pool = draw(st.lists(st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(),
+                                   st.floats(9.9e15, 1.01e16), st.floats(9.9e-5, 1.01e-4),
+                                   st.floats(9.9e-6, 1.01e-5)), min_size=1, max_size=40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = np.array(pool, dtype=np.float64)[rng.integers(len(pool), size=(rows, width))]
+    dt = draw(st.sampled_from([1.0, 0.1, 0.25, 0.3]))
+    return Trace(dt=dt, duration=rows * dt, spikes={f"n{j}": () for j in range(width)},
+                 potentials=values)
+
+
+@functools.cache
+def _silent_run():
+    return run_scenario(_out_of_range_scenario())
+
+
+@settings(max_examples=100, deadline=None)
+@given(trace=_potential_tables())
+def test_potentials_csv_matches_the_per_row_reference_writer(trace):
+    with tempfile.TemporaryDirectory() as out:
+        emit_outputs(dataclasses.replace(_silent_run(), trace=trace), out)
+        assert (Path(out) / "potentials.csv").read_bytes() == potentials_csv(trace)
+
+
 def test_cli_run_and_compare(tmp_path):
     scenario_file = tmp_path / "s.json"
     scenario_file.write_text(emit_scenario(
@@ -284,6 +329,22 @@ def test_cli_rejects_broken_scenarios(tmp_path, capsys, doc, field):
     assert cli_main(["run", str(scenario_file), "--out", str(tmp_path / "o")]) == 2
     assert field in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "suite"])
+def test_cli_reports_unwritable_output_files(tmp_path, capsys, command):
+    scenario_file = tmp_path / "suite" / "s.json"
+    scenario_file.parent.mkdir()
+    scenario_file.write_text(emit_scenario(
+        scripted_scenario("approach", 0.5, 0.5, "cli-check")))
+    out = tmp_path / "out"
+    run_dir = out if command == "run" else out / "cli-check"
+    (run_dir / "potentials.csv").mkdir(parents=True)
+    source = scenario_file if command == "run" else scenario_file.parent
+    assert cli_main([command, str(source), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert f"cannot write {run_dir / 'potentials.csv'}: " in err
 
 
 @pytest.mark.parametrize("case", ["missing", "directory", "not-utf8", "out-is-a-file"])

@@ -10,6 +10,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -289,14 +290,20 @@ def _sensing_cases(draw):
     kind = draw(st.sampled_from(["approach", "recede", "tangent", "waypoints"]))
     if kind in ("approach", "recede"):
         cls = Approach if kind == "approach" else Recede
-        traj = cls(start=draw(_point), goal=draw(knot), speed_mps=draw(st.floats(0.1, 3.0)),
-                   duration_ms=duration)
+        start = draw(_point)
+        # start == goal is a zero-length segment: the agent stays at start.
+        traj = cls(start=start, goal=draw(st.one_of(knot, st.just(start))),
+                   speed_mps=draw(st.floats(0.1, 3.0)), duration_ms=duration)
     elif kind == "tangent":
         traj = Tangent(closest=draw(_point), velocity_mps=draw(_point),
                        t_center_ms=draw(st.floats(0.0, duration)), duration_ms=duration)
     else:
-        times = draw(st.lists(st.floats(-50.0, duration + 50.0), min_size=1, max_size=6,
-                              unique=True))
+        # Knots fall between steps, exactly on a step time, before 0 and after
+        # the last step; a first knot after 0 and a last one before the end
+        # hold the path's ends, and one knot holds the agent still.
+        on_step = st.integers(0, int(duration / dt)).map(lambda k: k * dt)
+        times = draw(st.lists(st.one_of(st.floats(-50.0, duration + 50.0), on_step),
+                              min_size=1, max_size=6, unique=True))
         traj = Waypoints(points=tuple((t, draw(knot)) for t in sorted(times)),
                          duration_ms=duration)
     mode = draw(st.sampled_from(list(Encoding)))
@@ -310,6 +317,30 @@ def test_sense_scenario_matches_reference_path(case):
     got = sense_scenario(robot, sensors, traj, dt, mode, seed)
     want = reference_sense(robot, sensors, traj, dt, mode, seed)
     assert [t.times for t in got] == [t.times for t in want]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_sensing_cases())
+def test_positions_match_the_scalar_reference_bit_for_bit(case):
+    _, _, traj, dt, _, _ = case
+    steps = int(round(traj.duration_ms / dt))
+    got = np.column_stack(traj.positions(np.arange(steps) * dt))
+    want = np.array([reference_sensing.agent_position(traj, k * dt) for k in range(steps)],
+                    dtype=np.float64).reshape(-1, 2)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_sense_scenario_pays_catch_up_spikes_after_the_rate_drops_to_zero():
+    # 762 Hz at 2 ms steps is 1.52 spikes a step, more than one step can
+    # emit; the agent leaves the 1-degree cone while a spike is still owed,
+    # and the zero-rate steps that follow must still emit it.
+    robot = Pose(heading=math.pi)
+    sensors = (SensorSpec(mount_deg=0.0, cone_half_deg=1.0, r_max_hz=762.0),)
+    traj = Approach(start=(-0.25, 0.0), goal=(0.0, 1.0), speed_mps=1.0, duration_ms=8.0)
+    want = reference_sense(robot, sensors, traj, 2.0)
+    assert [t.times for t in want] == [(0.0, 2.0, 4.0, 6.0)]
+    assert [t.times for t in sense_scenario(robot, sensors, traj, 2.0)] == \
+        [t.times for t in want]
 
 
 @st.composite
