@@ -331,9 +331,9 @@ def test_positions_match_the_scalar_reference_bit_for_bit(case):
 
 
 def test_sense_scenario_pays_catch_up_spikes_after_the_rate_drops_to_zero():
-    # 762 Hz at 2 ms steps is 1.52 spikes a step, more than one step can
-    # emit; the agent leaves the 1-degree cone while a spike is still owed,
-    # and the zero-rate steps that follow must still emit it.
+    # Three steps of about 667 Hz at 2 ms owe four spikes, one more than a
+    # step each can emit; the agent then leaves the 1-degree cone, and the
+    # zero-rate step that follows must still emit the fourth.
     robot = Pose(heading=math.pi)
     sensors = (SensorSpec(mount_deg=0.0, cone_half_deg=1.0, r_max_hz=762.0),)
     traj = Approach(start=(-0.25, 0.0), goal=(0.0, 1.0), speed_mps=1.0, duration_ms=8.0)
