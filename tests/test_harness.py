@@ -8,6 +8,7 @@ import functools
 import json
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,9 +19,10 @@ from hypothesis import strategies as st
 from ctd.circuits import DepthState, Direction
 from ctd.cli import main as cli_main
 from ctd.core import Trace
+from ctd import harness
 from ctd.errors import UnknownNeuron
-from ctd.harness import (_BLOCK_CELLS, compare_variants, emit_outputs,
-                         potential_variation, run_scenario)
+from ctd.harness import (_BLOCK_CELLS, _MEMO_KEYS, FloatMemo, compare_variants,
+                         emit_outputs, potential_variation, run_scenario)
 from ctd.scenario import Scenario, emit_scenario
 from ctd.suite import canonical_scenario, scripted_scenario
 from ctd.world import Encoding, SensorSpec, Tangent
@@ -194,12 +196,13 @@ def test_emit_outputs_reruns_are_byte_identical(tmp_path):
 
 
 # Floats whose repr is an edge: signed zeros, subnormals, the largest
-# subnormal and smallest normal, and both sides of the switches to
-# exponent notation at 1e16 and 1e-4.
+# subnormal and smallest normal, both sides of the switches to exponent
+# notation at 1e16 and 1e-4, and the longest reprs, 24 characters.
 _EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.225073858507201e-308,
                 2.2250738585072014e-308, 9999999999999998.0, 1e16, 1.0000000000000002e16,
                 -1e16, 0.0001, 9.999999999999999e-05, 0.00010000000000000002, 1e-05,
-                9.999999999999999e-06, -1e-05, 1.5, -0.25)
+                9.999999999999999e-06, -1e-05, 1.5, -0.25, -2.2250738585072014e-308,
+                -1.7976931348623157e+308)
 
 
 @st.composite
@@ -230,6 +233,107 @@ def test_potentials_csv_matches_the_per_row_reference_writer(trace):
     with tempfile.TemporaryDirectory() as out:
         emit_outputs(dataclasses.replace(_silent_run(), trace=trace), out)
         assert (Path(out) / "potentials.csv").read_bytes() == potentials_csv(trace)
+
+
+@st.composite
+def _table_sequences(draw):
+    # Each table after the first is its predecessor's columns permuted, as in
+    # a mirrored run, or it differs in `dt`, in rows or throughout.
+    tables = [draw(_potential_tables())]
+    for _ in range(draw(st.integers(1, 3))):
+        prev = tables[-1]
+        rows, width = prev.potentials.shape
+        change = draw(st.sampled_from(["mirror", "dt", "rows", "new"]))
+        if change == "mirror":
+            order = draw(st.permutations(range(width)))
+            tables.append(dataclasses.replace(prev, potentials=prev.potentials[:, order]))
+        elif change == "dt":
+            dt = draw(st.sampled_from([1.0, 0.1, 0.25, 0.3]))
+            tables.append(dataclasses.replace(prev, dt=dt, duration=rows * dt))
+        elif change == "rows":
+            keep = draw(st.integers(0, rows))
+            tables.append(dataclasses.replace(prev, duration=keep * prev.dt,
+                                              potentials=prev.potentials[:keep]))
+        else:
+            tables.append(draw(_potential_tables()))
+    return tables
+
+
+@settings(max_examples=60, deadline=None)
+@given(tables=_table_sequences())
+def test_potentials_csv_through_one_memo_matches_the_per_row_reference_writer(tables):
+    memo = FloatMemo()
+    with tempfile.TemporaryDirectory() as out:
+        for trace in tables:
+            emit_outputs(dataclasses.replace(_silent_run(), trace=trace), out, memo)
+            assert (Path(out) / "potentials.csv").read_bytes() == potentials_csv(trace)
+
+
+def _formatted_keys(monkeypatch) -> list[int]:
+    """Record how many keys each call to harness._reprs formats."""
+    sizes = []
+    reprs = harness._reprs
+
+    def counting(keys):
+        sizes.append(keys.size)
+        return reprs(keys)
+
+    monkeypatch.setattr(harness, "_reprs", counting)
+    return sizes
+
+
+def test_memo_formats_a_mirrored_run_from_its_predecessor(tmp_path, monkeypatch):
+    pool = np.linspace(-1.0, 1.0, 997)
+    values = pool[np.random.default_rng(0).integers(pool.size, size=(3000, 22))]
+    run = _silent_run()
+    sizes = _formatted_keys(monkeypatch)
+
+    def formatted(values, out, memo=None):
+        trace = dataclasses.replace(run.trace, potentials=values)
+        sizes.clear()
+        emit_outputs(dataclasses.replace(run, trace=trace), out, memo)
+        assert (out / "potentials.csv").read_bytes() == potentials_csv(trace)
+        return sum(sizes)
+
+    memo = FloatMemo()
+    first = formatted(values, tmp_path / "ltr", memo)
+    assert first > 0
+    # The mirrored run holds the same values block by block, in other columns.
+    assert formatted(values[:, ::-1], tmp_path / "rtl", memo) == 0
+    # Without a memo nothing is carried from one write to the next.
+    assert formatted(values, tmp_path / "a") == formatted(values, tmp_path / "b") == first
+
+
+def test_memo_keeps_a_file_only_up_to_its_key_cap():
+    def keys_kept(rows):
+        # Each row but the first adds a time and a value key: 2 * rows - 1.
+        memo = FloatMemo()
+        for _ in harness._potential_chunks((np.arange(rows) + 0.5)[:, None], 1.0, memo):
+            pass
+        return sum(keys.size for keys, _ in memo.blocks)
+
+    assert keys_kept(_MEMO_KEYS // 2) == _MEMO_KEYS - 1
+    assert keys_kept(_MEMO_KEYS // 2 + 1) == 0
+
+
+def test_a_write_without_memo_keeps_no_reprs():
+    values = (np.arange(30000) + 0.5)[:, None]
+
+    def peak_bytes(memo):
+        tracemalloc.start()
+        try:
+            for _ in harness._potential_chunks(values, 1.0, memo):
+                pass
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    memo = FloatMemo()
+    with_memo = peak_bytes(memo)
+    kept = sum(keys.nbytes + texts.nbytes for keys, texts in memo.blocks)
+    assert kept == 59999 * (8 + 24)
+    # One block's working set, not the file's keys and reprs.
+    assert peak_bytes(None) < with_memo - 0.8 * kept
 
 
 def test_cli_run_and_compare(tmp_path):
@@ -337,6 +441,10 @@ def test_cli_reports_unwritable_output_files(tmp_path, capsys, command):
     scenario_file.parent.mkdir()
     scenario_file.write_text(emit_scenario(
         scripted_scenario("approach", 0.5, 0.5, "cli-check")))
+    if command == "suite":
+        # A run before the failing one completes, and its files stay.
+        (scenario_file.parent / "a.json").write_text(emit_scenario(
+            scripted_scenario("approach", 0.5, 0.5, "done-before")))
     out = tmp_path / "out"
     run_dir = out if command == "run" else out / "cli-check"
     (run_dir / "potentials.csv").mkdir(parents=True)
@@ -345,6 +453,11 @@ def test_cli_reports_unwritable_output_files(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert f"cannot write {run_dir / 'potentials.csv'}: " in err
+    # The failed run's spikes.csv, written before the failure, is removed.
+    assert not (run_dir / "spikes.csv").exists()
+    if command == "suite":
+        assert {p.name for p in (out / "done-before").iterdir()} == {
+            "spikes.csv", "potentials.csv", "states.csv", "summary.json"}
 
 
 @pytest.mark.parametrize("case", ["missing", "directory", "not-utf8", "out-is-a-file"])
