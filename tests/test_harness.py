@@ -269,26 +269,16 @@ def test_potentials_csv_through_one_memo_matches_the_per_row_reference_writer(ta
             assert (Path(out) / "potentials.csv").read_bytes() == potentials_csv(trace)
 
 
-def _formatted_keys(monkeypatch) -> list[int]:
-    """Record how many keys each call to harness._reprs formats."""
-    sizes = []
-    reprs = harness._reprs
-
-    def counting(keys):
-        sizes.append(keys.size)
-        return reprs(keys)
-
-    monkeypatch.setattr(harness, "_reprs", counting)
-    return sizes
-
-
 def test_memo_formats_a_mirrored_run_from_its_predecessor(tmp_path, monkeypatch):
     pool = np.linspace(-1.0, 1.0, 997)
     values = pool[np.random.default_rng(0).integers(pool.size, size=(3000, 22))]
     run = _silent_run()
-    sizes = _formatted_keys(monkeypatch)
+    sizes = []
+    reprs = harness._reprs
+    monkeypatch.setattr(harness, "_reprs", lambda keys: sizes.append(keys.size) or reprs(keys))
 
     def formatted(values, out, memo=None):
+        # The number of keys formatted to write these values.
         trace = dataclasses.replace(run.trace, potentials=values)
         sizes.clear()
         emit_outputs(dataclasses.replace(run, trace=trace), out, memo)
