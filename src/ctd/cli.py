@@ -136,7 +136,7 @@ def _cmd_suite(args: argparse.Namespace) -> int:
     results = {}
     calibration = {}
     # Scenarios run in sorted order, so each mirror pair's runs are consecutive
-    # and the second finds most of its floats formatted by the first.
+    # and the second reuses every block of the first's formatted floats.
     memo = FloatMemo()
     for scenario in scenarios:
         results[scenario.name], calibration[scenario.name] = _suite_run(scenario, out, memo)

@@ -44,6 +44,9 @@ _POSITIVE_OVERRIDES = ({k for k in _CTD_KEYS if k.endswith("_tau")}
 _NONNEGATIVE_OVERRIDES = ({k for k in _CTD_KEYS if k.startswith("w_") or "_w_" in k}
                           | {"refractory", "corr_lag_bins"})
 _SENSOR_KEYS = {f.name for f in dataclasses.fields(SensorSpec) if f.init}
+# Potential cells, time column included, that one run may hold: 256 MiB of
+# float64. A larger run would fail in allocation, far into the work.
+MAX_RUN_CELLS = 1 << 25
 # Tuples, not sets: membership must not hash values read from a file.
 _EXPECT_VALUES = {"depth": tuple(d.value for d in DepthState),
                   "direction": (Direction.LEFT_TO_RIGHT.value,
@@ -141,6 +144,13 @@ class Scenario:
         if len(self.sensors) == 0 or len(self.sensors) % 3 != 0:
             raise ValidationError(
                 f"sensor count {len(self.sensors)} must be divisible by 3")
+        # The time column and ddm's n + 8n/3 neurons, the larger variant's:
+        # compare and suite build both.
+        columns = len(self.sensors) + 8 * len(self.sensors) // 3 + 1
+        if round(steps) * columns > MAX_RUN_CELLS:
+            raise ValidationError(
+                f"time.duration_ms {self.duration_ms!r} at time.dt_ms {self.dt_ms!r} is "
+                f"{round(steps)} steps of {columns} columns, over {MAX_RUN_CELLS} cells")
         if self.expect is not None and not isinstance(self.expect, dict):
             raise ValidationError("expect must be an object")
         for key, value in (self.expect or {}).items():

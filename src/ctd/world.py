@@ -201,10 +201,11 @@ class Waypoints:
         xs, ys = np.array([p for _, p in self.points], dtype=np.float64).T
         if len(knots) == 1:
             return np.full(t_ms.shape, xs[0]), np.full(t_ms.shape, ys[0])
-        # Times outside the knots interpolate on an end segment, then take the
+        # Times outside the knots interpolate at an end knot, then take the
         # held end point, which the interpolation need not give bit for bit.
+        # Unclipped, they would overflow f on a subnormal end segment.
         i = np.clip(np.searchsorted(knots, t_ms, "right") - 1, 0, len(knots) - 2)
-        f = (t_ms - knots[i]) / (knots[i + 1] - knots[i])
+        f = (np.clip(t_ms, knots[0], knots[-1]) - knots[i]) / (knots[i + 1] - knots[i])
         before, after = t_ms <= knots[0], t_ms >= knots[-1]
         return tuple(np.where(before, c[0], np.where(after, c[-1], c[i] + (c[i + 1] - c[i]) * f))
                      for c in (xs, ys))

@@ -269,29 +269,48 @@ def test_potentials_csv_through_one_memo_matches_the_per_row_reference_writer(ta
             assert (Path(out) / "potentials.csv").read_bytes() == potentials_csv(trace)
 
 
-def test_memo_formats_a_mirrored_run_from_its_predecessor(tmp_path, monkeypatch):
-    pool = np.linspace(-1.0, 1.0, 997)
-    values = pool[np.random.default_rng(0).integers(pool.size, size=(3000, 22))]
+@pytest.fixture
+def formatted(tmp_path, monkeypatch):
+    """Write values as a run's potentials.csv; return the number of keys formatted."""
     run = _silent_run()
     sizes = []
     reprs = harness._reprs
     monkeypatch.setattr(harness, "_reprs", lambda keys: sizes.append(keys.size) or reprs(keys))
 
-    def formatted(values, out, memo=None):
-        # The number of keys formatted to write these values.
+    def write(values, name, memo=None):
         trace = dataclasses.replace(run.trace, potentials=values)
         sizes.clear()
-        emit_outputs(dataclasses.replace(run, trace=trace), out, memo)
-        assert (out / "potentials.csv").read_bytes() == potentials_csv(trace)
+        emit_outputs(dataclasses.replace(run, trace=trace), tmp_path / name, memo)
+        assert (tmp_path / name / "potentials.csv").read_bytes() == potentials_csv(trace)
         return sum(sizes)
 
+    return write
+
+
+def test_memo_formats_a_mirrored_run_from_its_predecessor(formatted):
+    pool = np.linspace(-1.0, 1.0, 997)
+    values = pool[np.random.default_rng(0).integers(pool.size, size=(3000, 22))]
     memo = FloatMemo()
-    first = formatted(values, tmp_path / "ltr", memo)
+    first = formatted(values, "ltr", memo)
     assert first > 0
     # The mirrored run holds the same values block by block, in other columns.
-    assert formatted(values[:, ::-1], tmp_path / "rtl", memo) == 0
+    assert formatted(values[:, ::-1], "rtl", memo) == 0
     # Without a memo nothing is carried from one write to the next.
-    assert formatted(values, tmp_path / "a") == formatted(values, tmp_path / "b") == first
+    assert formatted(values, "a") == formatted(values, "b") == first
+
+
+def test_memo_formats_all_keys_of_a_block_that_differs_by_one(formatted):
+    # Every cell but the first time is a distinct nonzero key, so swapping one
+    # cell for a new value keeps its block's key count; the file's 45,999 keys
+    # are within the memo's cap.
+    values = np.arange(2000 * 22).reshape(2000, 22) + 0.5
+    rows = _BLOCK_CELLS // 23
+    changed = values.copy()
+    changed[rows + 1, 3] = -1.0
+    memo = FloatMemo()
+    formatted(values, "first", memo)
+    # Only the second block is formatted again, and all of its keys.
+    assert formatted(changed, "second", memo) == rows * 23
 
 
 def test_memo_keeps_a_file_only_up_to_its_key_cap():
@@ -320,8 +339,10 @@ def test_a_write_without_memo_keeps_no_reprs():
 
     memo = FloatMemo()
     with_memo = peak_bytes(memo)
+    assert sum(keys.size for keys, _ in memo.blocks) == 59999
+    # Each repr is held at its block's longest width, at most 24 bytes.
+    assert all(texts.itemsize <= 24 for _, texts in memo.blocks)
     kept = sum(keys.nbytes + texts.nbytes for keys, texts in memo.blocks)
-    assert kept == 59999 * (8 + 24)
     # One block's working set, not the file's keys and reprs.
     assert peak_bytes(None) < with_memo - 0.8 * kept
 
@@ -407,6 +428,10 @@ _THREE_SENSORS = [{"mount_deg": -30}, {"mount_deg": 0}, {"mount_deg": 30}]
     ({"name": ".."}, "name '..'"),
     ({"name": "../escaped"}, "name '../escaped'"),
     ({"name": "back\\slash"}, "name 'back\\\\slash'"),
+    # Rejected before any allocation: the first would need a 1.6 TiB potentials array.
+    ({"time": {"dt_ms": 1.0, "duration_ms": 1e10}, "trajectory": {"kind": "tangent"}},
+     "time.duration_ms 10000000000.0 at time.dt_ms 1.0"),
+    ({"time": {"dt_ms": 2.0 ** -10}}, "time.duration_ms 5000.0 at time.dt_ms 0.0009765625"),
 ], ids=["sensor-count", "negative-range", "infinite-cone", "nan-dt",
         "dt-not-dividing", "negative-tau", "shorter-than-window",
         "fractional-theta", "fractional-lag", "float-overflow", "int-digit-limit",
@@ -414,7 +439,8 @@ _THREE_SENSORS = [{"mount_deg": -30}, {"mount_deg": 0}, {"mount_deg": 30}]
         "infinite-robot-heading", "nan-closest", "infinite-t-center",
         "infinite-from", "nan-to", "infinite-waypoint-time", "nan-waypoint-point",
         "unordered-waypoints", "threshold-at-rest",
-        "empty-name", "dot-name", "dot-dot-name", "escaping-name", "backslash-name"])
+        "empty-name", "dot-name", "dot-dot-name", "escaping-name", "backslash-name",
+        "too-many-steps", "tiny-dt"])
 def test_cli_rejects_broken_scenarios(tmp_path, capsys, doc, field):
     # json.dumps writes NaN and Infinity tokens, which json.loads accepts;
     # oversized integer literals are given as text.

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ctd.errors import OutOfRange
@@ -321,6 +321,9 @@ def test_sense_scenario_matches_reference_path(case):
 
 @settings(max_examples=300, deadline=None)
 @given(case=_sensing_cases())
+# A subnormal segment, past whose end a step time would overflow the fraction.
+@example(case=(None, None, Waypoints(((0.0, (0.0, 0.0)), (2.2250738585e-313, (0.0, 0.0))),
+                                     duration_ms=0.2), 0.1, None, None))
 def test_positions_match_the_scalar_reference_bit_for_bit(case):
     _, _, traj, dt, _, _ = case
     steps = int(round(traj.duration_ms / dt))
