@@ -8,8 +8,8 @@ import sys
 from pathlib import Path
 
 from .errors import CtdError
-from .harness import (FloatMemo, RunArtifacts, compare_variants, emit_outputs,
-                      run_scenario, write_json)
+from .harness import (RunArtifacts, compare_variants, emit_outputs, run_scenario,
+                      write_json)
 from .scenario import Scenario, parse_scenario
 
 
@@ -76,7 +76,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0 if all(comparison.orderings.values()) else 1
 
 
-def _suite_run(scenario: Scenario, out: Path, memo: FloatMemo) -> tuple[dict, dict]:
+def _suite_run(scenario: Scenario, out: Path) -> tuple[dict, dict]:
     """Run one suite scenario, write its files and print its line.
 
     Returns its checks and calibration entry; its runs are freed on return,
@@ -84,7 +84,7 @@ def _suite_run(scenario: Scenario, out: Path, memo: FloatMemo) -> tuple[dict, di
     """
     comparison = compare_variants(scenario)
     artifacts = comparison.ddm if scenario.variant == "ddm" else comparison.weights
-    emit_outputs(artifacts, out / scenario.name, memo)
+    emit_outputs(artifacts, out / scenario.name)
     checks = dict(artifacts.assertions)
     for name, ok in comparison.orderings.items():
         checks[f"fig8_{name}"] = ok
@@ -135,11 +135,8 @@ def _cmd_suite(args: argparse.Namespace) -> int:
             raise CtdError(f"{path}: {exc}") from None
     results = {}
     calibration = {}
-    # Scenarios run in sorted order, so each mirror pair's runs are consecutive
-    # and the second reuses every block of the first's formatted floats.
-    memo = FloatMemo()
     for scenario in scenarios:
-        results[scenario.name], calibration[scenario.name] = _suite_run(scenario, out, memo)
+        results[scenario.name], calibration[scenario.name] = _suite_run(scenario, out)
     all_ok = all(all(checks.values()) for checks in results.values())
     agree = sum(c["agree_windows"] for c in calibration.values())
     windows = sum(c["windows"] for c in calibration.values())

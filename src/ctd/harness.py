@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
+import orjson
 
 from .circuits import (CognitiveReadout, CtdHandles, DepthState, PddUnit,
                        build_ctd, classify, dominant_readout)
@@ -250,84 +252,54 @@ def _write_csv(path: Path, header: Sequence[str], chunks: Iterable[bytes]) -> Pa
 
     Every line joins its fields by commas and ends in CRLF. `_csv_lines` makes
     a chunk of a row of fields, each a str or a value whose str is written;
-    `_potential_chunks` makes one per row block of floats. The bytes are those
-    of csv's default dialect as long as no field holds a comma, a quote or a
-    line break and every number is a Python float, whose str is its shortest
-    round-trip repr. The trace files hold only such floats and the neuron ids,
-    roles and enum values made by the circuit builders.
+    `_potential_chunks` makes one per row block of floats, each written as
+    its repr by orjson and a layout translation. The bytes are those of csv's
+    default dialect as long as no field holds a comma, a quote or a line break
+    and every number is a Python float, whose str is its shortest round-trip
+    repr. The trace files hold only such floats and the neuron ids, roles and
+    enum values made by the circuit builders.
     """
     return _write_file(path, chain(_csv_lines((header,)), chunks))
 
 
 _BLOCK_CELLS = 4096
-# Keys a memo keeps of one file. Each is an int64 bit pattern and a repr of at
-# most 24 bytes (-2.2250738585072014e-308), so a memo holds at most 2 MiB.
-_MEMO_KEYS = 1 << 16
+# orjson writes each float's shortest round-trip digits, those of repr, in
+# Ryu's layout; repr lays out values below 1e-4 and from 1e16 differently.
+# Each pattern starts with a literal, so a scan jumps to its candidates, and
+# none consumes the next field. The lookbehind keeps 10.00001 whole.
+_FIFTH_PLACE = re.compile(rb"0\.0000(?<!\d0\.0000)(\d)(\d*)")  # 0.0000Dd.. -> D.d..e-05
+_ONE_DIGIT_DOWN = re.compile(rb"e-(?=\d(?!\d))")               # e-N -> e-0N
+_UNSIGNED_UP = re.compile(rb"e(?=\d)")                          # eN -> e+N
 
 
-class FloatMemo:
-    """The reprs of the last potentials.csv written through it, per row block.
-
-    It serves consecutive files of one command that repeat blocks exactly: a
-    suite's mirror pairs (`-ltr`, `-rtl`) sort next to each other and hold the
-    same potentials in swapped columns, so block b of the second run has the
-    same distinct values as block b of the first. Block b of a file takes the
-    reprs of block b of the file before it only when their sorted keys are
-    equal; otherwise it formats all of its keys. Either way that entry is
-    dropped. On one pass of the committed suite 490 of 870 blocks are reused,
-    all 435 blocks of the second runs of the 15 pairs among them, and 344,314
-    of 708,198 per-block keys are formatted. A lookup of each key would format
-    74,572 fewer, 60,332 of them whole-number step times with short reprs, for
-    no measurable time. A file's blocks are kept while their key count stays
-    at or below `_MEMO_KEYS`; past that the memo is emptied.
-    """
-
-    def __init__(self) -> None:
-        # Per block of the last file: its sorted int64 keys and their reprs.
-        self.blocks: list[tuple[np.ndarray, np.ndarray]] = []
+def _fifth_place(match: re.Match) -> bytes:
+    first, rest = match.groups()
+    return first + b"." + rest + b"e-05" if rest else first + b"e-05"
 
 
-def _reprs(keys: np.ndarray) -> np.ndarray:
-    """The repr of each int64 bit pattern's float64, as bytes sized to the longest."""
-    return np.array(list(map(repr, keys.view(np.float64).tolist())), dtype="S")
+def _potential_chunks(values: np.ndarray, dt: float) -> Iterator[bytes]:
+    """The lines `(k * dt, *values[k])` of each row block, as one chunk.
 
-
-def _potential_chunks(values: np.ndarray, dt: float,
-                      memo: FloatMemo | None = None) -> Iterator[bytes]:
-    """The lines `(k * dt, *values[k])` of each row block, joined as one chunk.
-
-    A block holds about `_BLOCK_CELLS` cells. Cells are keyed by bit pattern,
-    not value, so that -0.0 keeps its own repr; pattern 0 is 0.0, most of a
-    potential trace, and skips the sort. Each other key of a block is formatted
-    once, unless the memo's block of that index has exactly these keys. The
-    block is one join over a table of its reprs, the comma and the CRLF.
+    A block holds about `_BLOCK_CELLS` cells and is one `orjson.dumps`, whose
+    digits the patterns above lay out as repr does. orjson writes NaN and
+    infinities as null, so those cells take their repr in its place.
     """
     n, m = values.shape
     step = max(1, _BLOCK_CELLS // (m + 1))
-    known: list[tuple[np.ndarray, np.ndarray]] = []
-    if memo is not None:
-        known, memo.blocks = memo.blocks[::-1], []
-    kept = 0
     for s in range(0, n, step):
+        # orjson takes only C-contiguous arrays, whatever the layout of values.
+        block = np.empty((min(step, n - s), m + 1))
         # int k to float64 is exact below 2**53, so each time is k * dt's bits.
-        block = np.column_stack((np.arange(s, min(s + step, n)) * dt, values[s:s + step]))
-        bits = block.view(np.int64)
-        live = bits != 0
-        keys, inv = np.unique(bits[live], return_inverse=True)
-        old = known.pop() if known else None
-        texts = old[1] if old is not None and np.array_equal(old[0], keys) else _reprs(keys)
-        if memo is not None:
-            kept += keys.size
-            if kept <= _MEMO_KEYS:
-                memo.blocks.append((keys, texts))
-            else:
-                memo.blocks.clear()
-        table = np.array([b"0.0", *texts.tolist(), b",", b"\r\n"], dtype=object)
-        index = np.zeros((*block.shape, 2), dtype=np.intp)
-        index[..., 0][live] = inv + 1
-        index[..., 1] = keys.size + 1
-        index[:, -1, 1] = keys.size + 2
-        yield b"".join(table[index.ravel()].tolist())
+        block[:, 0] = np.arange(s, s + len(block)) * dt
+        block[:, 1:] = values[s:s + step]
+        text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2]
+        text = _UNSIGNED_UP.sub(b"e+", _ONE_DIGIT_DOWN.sub(
+            b"e-0", _FIFTH_PLACE.sub(_fifth_place, text)))
+        odd = ~np.isfinite(block)
+        if odd.any():
+            reprs = [repr(x).encode() for x in block[odd].tolist()]
+            text = b"".join(chain.from_iterable(zip(text.split(b"null"), [*reprs, b""])))
+        yield text.replace(b"],[", b"\r\n") + b"\r\n"
 
 
 def write_json(path: Path, doc: Any) -> Path:
@@ -336,14 +308,11 @@ def write_json(path: Path, doc: Any) -> Path:
     return _write_file(path, (text.encode(),))
 
 
-def emit_outputs(artifacts: RunArtifacts, out_dir: str | Path,
-                 memo: FloatMemo | None = None) -> list[Path]:
+def emit_outputs(artifacts: RunArtifacts, out_dir: str | Path) -> list[Path]:
     """Write spikes.csv, potentials.csv, states.csv and summary.json.
 
-    Byte-identical across reruns of the same scenario and seed, with or without
-    a memo. A memo carries potentials.csv's formatted floats on to the next
-    call that is given it. If a write fails, the files this call wrote are
-    removed before the CtdError is raised.
+    Byte-identical across reruns of the same scenario and seed. If a write
+    fails, the files this call wrote are removed before the CtdError is raised.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -369,7 +338,7 @@ def emit_outputs(artifacts: RunArtifacts, out_dir: str | Path,
         written.append(_write_csv(out / "spikes.csv", ("time_ms", "neuron_id", "neuron_role"),
                                   _csv_lines((t, nid, role_of(nid)) for t, nid in spikes)))
         written.append(_write_csv(out / "potentials.csv", ("time_ms", *trace.neuron_ids),
-                                  _potential_chunks(trace.potentials, trace.dt, memo)))
+                                  _potential_chunks(trace.potentials, trace.dt)))
         written.append(_write_csv(
             out / "states.csv",
             ("window_start_ms", "window_end_ms", "direction", "depth_circuit",

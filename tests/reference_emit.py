@@ -1,8 +1,9 @@
 """Reference potentials writer: the per-row code that
 `ctd.harness._potential_chunks` replaced. Each row is the step's time `k * dt`
 followed by the row's floats, every field written with str, one row at a time.
-The property tests in test_harness.py require `emit_outputs` to write these
-bytes to potentials.csv, with and without a memo.
+The tests in test_harness.py require `emit_outputs`, which formats each row
+block with orjson and translates its layout to repr's, to write these bytes to
+potentials.csv.
 """
 
 from __future__ import annotations

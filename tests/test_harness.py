@@ -21,8 +21,8 @@ from ctd.cli import main as cli_main
 from ctd.core import Trace
 from ctd import harness
 from ctd.errors import UnknownNeuron
-from ctd.harness import (_BLOCK_CELLS, _MEMO_KEYS, FloatMemo, compare_variants,
-                         emit_outputs, potential_variation, run_scenario)
+from ctd.harness import (_BLOCK_CELLS, compare_variants, emit_outputs,
+                         potential_variation, run_scenario)
 from ctd.scenario import Scenario, emit_scenario
 from ctd.suite import canonical_scenario, scripted_scenario
 from ctd.world import Encoding, SensorSpec, Tangent
@@ -197,12 +197,15 @@ def test_emit_outputs_reruns_are_byte_identical(tmp_path):
 
 # Floats whose repr is an edge: signed zeros, subnormals, the largest
 # subnormal and smallest normal, both sides of the switches to exponent
-# notation at 1e16 and 1e-4, and the longest reprs, 24 characters.
+# notation at 1e16 and 1e-4, and the longest reprs, 24 characters. orjson lays
+# out the digits otherwise below 1e-4 (0.00001, 1e-6) and from 1e16 (1e16) and
+# writes null for NaN and the infinities; 10.00001 holds 0.00001 inside it.
 _EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.225073858507201e-308,
                 2.2250738585072014e-308, 9999999999999998.0, 1e16, 1.0000000000000002e16,
                 -1e16, 0.0001, 9.999999999999999e-05, 0.00010000000000000002, 1e-05,
                 9.999999999999999e-06, -1e-05, 1.5, -0.25, -2.2250738585072014e-308,
-                -1.7976931348623157e+308)
+                -1.7976931348623157e+308, 1.5e-05, -3.25e-05, 1e-06, 1.5e-09, 1e-10,
+                1.5e+16, 1e+22, 1e+100, math.nan, math.inf, -math.inf, 10.00001)
 
 
 @st.composite
@@ -225,14 +228,6 @@ def _potential_tables(draw):
 @functools.cache
 def _silent_run():
     return run_scenario(_out_of_range_scenario())
-
-
-@settings(max_examples=100, deadline=None)
-@given(trace=_potential_tables())
-def test_potentials_csv_matches_the_per_row_reference_writer(trace):
-    with tempfile.TemporaryDirectory() as out:
-        emit_outputs(dataclasses.replace(_silent_run(), trace=trace), out)
-        assert (Path(out) / "potentials.csv").read_bytes() == potentials_csv(trace)
 
 
 @st.composite
@@ -259,92 +254,82 @@ def _table_sequences(draw):
     return tables
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(tables=_table_sequences())
-def test_potentials_csv_through_one_memo_matches_the_per_row_reference_writer(tables):
-    memo = FloatMemo()
+def test_potentials_csv_matches_the_per_row_reference_writer(tables):
     with tempfile.TemporaryDirectory() as out:
         for trace in tables:
-            emit_outputs(dataclasses.replace(_silent_run(), trace=trace), out, memo)
+            emit_outputs(dataclasses.replace(_silent_run(), trace=trace), out)
             assert (Path(out) / "potentials.csv").read_bytes() == potentials_csv(trace)
 
 
-@pytest.fixture
-def formatted(tmp_path, monkeypatch):
-    """Write values as a run's potentials.csv; return the number of keys formatted."""
-    run = _silent_run()
-    sizes = []
-    reprs = harness._reprs
-    monkeypatch.setattr(harness, "_reprs", lambda keys: sizes.append(keys.size) or reprs(keys))
-
-    def write(values, name, memo=None):
-        trace = dataclasses.replace(run.trace, potentials=values)
-        sizes.clear()
-        emit_outputs(dataclasses.replace(run, trace=trace), tmp_path / name, memo)
-        assert (tmp_path / name / "potentials.csv").read_bytes() == potentials_csv(trace)
-        return sum(sizes)
-
-    return write
+def _lines(trace: Trace) -> bytes:
+    """potentials.csv of the trace without its header line."""
+    return b"".join(harness._potential_chunks(trace.potentials, trace.dt))
 
 
-def test_memo_formats_a_mirrored_run_from_its_predecessor(formatted):
-    pool = np.linspace(-1.0, 1.0, 997)
-    values = pool[np.random.default_rng(0).integers(pool.size, size=(3000, 22))]
-    memo = FloatMemo()
-    first = formatted(values, "ltr", memo)
-    assert first > 0
-    # The mirrored run holds the same values block by block, in other columns.
-    assert formatted(values[:, ::-1], "rtl", memo) == 0
-    # Without a memo nothing is carried from one write to the next.
-    assert formatted(values, "a") == formatted(values, "b") == first
+def _reference_lines(trace: Trace) -> bytes:
+    return potentials_csv(trace).split(b"\r\n", 1)[1]
 
 
-def test_memo_formats_all_keys_of_a_block_that_differs_by_one(formatted):
-    # Every cell but the first time is a distinct nonzero key, so swapping one
-    # cell for a new value keeps its block's key count; the file's 45,999 keys
-    # are within the memo's cap.
-    values = np.arange(2000 * 22).reshape(2000, 22) + 0.5
-    rows = _BLOCK_CELLS // 23
-    changed = values.copy()
-    changed[rows + 1, 3] = -1.0
-    memo = FloatMemo()
-    formatted(values, "first", memo)
-    # Only the second block is formatted again, and all of its keys.
-    assert formatted(changed, "second", memo) == rows * 23
+# Exponent fields from 2^-70 to 2^60 hold every layout switch: 1e-10 to 1e-5
+# (one-digit negative exponents), 1e-5 to 1e-4 (five decimal places) and 1e16.
+_BITS = st.builds(lambda sign, exp, frac: sign << 63 | exp << 52 | frac,
+                  st.integers(0, 1), st.one_of(st.integers(0, 2047), st.integers(953, 1083)),
+                  st.integers(0, 2**52 - 1))
 
 
-def test_memo_keeps_a_file_only_up_to_its_key_cap():
-    def keys_kept(rows):
-        # Each row but the first adds a time and a value key: 2 * rows - 1.
-        memo = FloatMemo()
-        for _ in harness._potential_chunks((np.arange(rows) + 0.5)[:, None], 1.0, memo):
-            pass
-        return sum(keys.size for keys, _ in memo.blocks)
+@settings(max_examples=200, deadline=None)
+@given(width=st.integers(1, 6), data=st.data())
+def test_potential_lines_of_any_bit_pattern_match_the_reference(width, data):
+    bits = data.draw(st.lists(st.one_of(_BITS, st.integers(0, 2**64 - 1)),
+                              min_size=width, max_size=40 * width))
+    rows = len(bits) // width
+    values = np.array(bits[:rows * width], dtype=np.uint64).view(np.float64)
+    trace = Trace(dt=0.1, duration=rows * 0.1, spikes={f"n{j}": () for j in range(width)},
+                  potentials=values.reshape(rows, width))
+    assert _lines(trace) == _reference_lines(trace)
 
-    assert keys_kept(_MEMO_KEYS // 2) == _MEMO_KEYS - 1
-    assert keys_kept(_MEMO_KEYS // 2 + 1) == 0
+
+@pytest.mark.parametrize("values", [
+    (1e-05, 1.5e-05, -3.25e-05, 9.999999999999999e-05, 0.0001),
+    (1e-06, 1.5e-09, -9.999999999999999e-06, 1e-10, 5e-324),
+    (1.5e+16, 1e+22, -1e+100, 1.7976931348623157e+308),
+    (math.nan, math.inf, -math.inf, 0.5, -math.nan),
+    (10.00001, 100.00001, -10.00003, 20.000015),
+], ids=["five-places", "negative-exponents", "positive-exponents", "non-finite",
+        "digits-before-five-places"])
+def test_potential_lines_write_each_float_as_its_repr(values):
+    trace = Trace(dt=1.0, duration=1.0, spikes={f"n{j}": () for j in range(len(values))},
+                  potentials=np.array([values]))
+    assert _lines(trace) == ",".join(map(repr, (0.0, *values))).encode() + b"\r\n"
 
 
-def test_a_write_without_memo_keeps_no_reprs():
-    values = (np.arange(30000) + 0.5)[:, None]
+def test_potential_lines_of_a_fortran_ordered_view_match_the_reference():
+    rng = np.random.default_rng(3)
+    # The transpose of a C-ordered array is an F-ordered view, the layout
+    # orjson refuses.
+    values = (rng.standard_normal((7, 1500)) * 10.0 ** rng.integers(-12, 18, (7, 1500))).T
+    assert values.flags.f_contiguous and not values.flags.c_contiguous
+    trace = Trace(dt=0.25, duration=1500 * 0.25, spikes={f"n{j}": () for j in range(7)},
+                  potentials=values)
+    assert _lines(trace) == _reference_lines(trace)
 
-    def peak_bytes(memo):
-        tracemalloc.start()
-        try:
-            for _ in harness._potential_chunks(values, 1.0, memo):
-                pass
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
 
-    memo = FloatMemo()
-    with_memo = peak_bytes(memo)
-    assert sum(keys.size for keys, _ in memo.blocks) == 59999
-    # Each repr is held at its block's longest width, at most 24 bytes.
-    assert all(texts.itemsize <= 24 for _, texts in memo.blocks)
-    kept = sum(keys.nbytes + texts.nbytes for keys, texts in memo.blocks)
-    # One block's working set, not the file's keys and reprs.
-    assert peak_bytes(None) < with_memo - 0.8 * kept
+def test_a_potentials_write_peaks_at_a_few_blocks(tmp_path):
+    rng = np.random.default_rng(0)
+    values = rng.standard_normal((30000, 8)) * 10.0 ** rng.integers(-12, 18, (30000, 8))
+    path = tmp_path / "potentials.csv"
+    tracemalloc.start()
+    try:
+        harness._write_csv(path, ("time_ms", *map(str, range(8))),
+                           harness._potential_chunks(values, 0.1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The file is several times the bound, and the write holds a few blocks.
+    assert path.stat().st_size > 5_000_000
+    assert peak < 1_000_000
 
 
 def test_cli_run_and_compare(tmp_path):
