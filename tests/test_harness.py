@@ -230,6 +230,14 @@ def _silent_run():
     return run_scenario(_out_of_range_scenario())
 
 
+@settings(max_examples=100, deadline=None)
+@given(trace=_potential_tables())
+def test_potentials_csv_matches_the_per_row_reference_writer(trace):
+    with tempfile.TemporaryDirectory() as out:
+        emit_outputs(dataclasses.replace(_silent_run(), trace=trace), out)
+        assert (Path(out) / "potentials.csv").read_bytes() == potentials_csv(trace)
+
+
 @st.composite
 def _table_sequences(draw):
     # Each table after the first is its predecessor's columns permuted, as in
@@ -254,9 +262,9 @@ def _table_sequences(draw):
     return tables
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(tables=_table_sequences())
-def test_potentials_csv_matches_the_per_row_reference_writer(tables):
+def test_consecutive_potentials_csvs_in_one_directory_match_the_per_row_reference_writer(tables):
     with tempfile.TemporaryDirectory() as out:
         for trace in tables:
             emit_outputs(dataclasses.replace(_silent_run(), trace=trace), out)
