@@ -15,20 +15,22 @@ reaches its targets at step k + delay, never within step k (observation, then
 commit); each drive spike delivers its input port's weight once.
 
 `simulate` holds the state in the potentials array and is event driven, in
-the hybrid clock/event scheme of Brette et al. (2007). Every stretch of steps
-up to and including the next event step is first decayed in one block, one
-np.multiply.accumulate over (steps, neurons) followed by + 0.0: row k is
-v * decay + 0.0, which equals the update above without deliveries, signed
-zeros included, and is never -0.0. An event step is one at which some
-delivery is due, or the step after one that left a neuron at or above its
-threshold inside its refractory period; at it, only the neurons with
-arrivals or left at threshold are updated, from their decayed value: x =
-row + fsum(deliveries), which is the update above bit for bit. Every other
-neuron lay below its positive threshold and at or above v_floor <= 0, so
-decay alone can neither fire nor clamp it. Rotter & Diesmann (1999) advance
-linear stretches with the closed-form propagator decay**span; the block
-multiplies the stretch out step by step instead, because decay**span rounds
-differently.
+the hybrid clock/event scheme of Brette et al. (2007). Every row of the array
+starts as the neurons' decay factors, and every stretch of steps up to and
+including the next event step is decayed in place as one block: its first
+row is multiplied by the potentials before it, one np.multiply.accumulate
+over (steps, neurons) carries the products down a stretch of more than one
+row, and + 0.0 follows. Row k is v * decay + 0.0, which equals the update
+above without deliveries, signed zeros included, and is never -0.0. An
+event step is one at which some delivery is due, or the step after one that
+left a neuron at or above its threshold inside its refractory period; at it,
+only the neurons with arrivals or left at threshold are updated, from their
+decayed value: x = row + fsum(deliveries), which is the update above bit for
+bit. Every other neuron lay below its positive threshold and at or above
+v_floor <= 0, so decay alone can neither fire nor clamp it. Rotter &
+Diesmann (1999) advance linear stretches with the closed-form propagator
+decay**span; the block multiplies the stretch out step by step instead,
+because decay**span rounds differently.
 """
 
 from __future__ import annotations
@@ -215,8 +217,10 @@ def simulate(circuit: CircuitGraph, drive: Mapping[str, SpikeTrain],
     n = len(ids)
     refractory_until = [-math.inf] * n
     spikes: list[list[float]] = [[] for _ in ids]
+    # Every row starts as the decay factors; a stretch multiplies its rows
+    # out in place, and no row is written before its stretch.
     potentials = np.empty((n_steps, n))
-    decay_row = np.array([math.exp(-dt / p.tau_m) for p in params])
+    potentials[:] = [math.exp(-dt / p.tau_m) for p in params]
     v = np.zeros(n)  # the potentials after the previous step
     hot: list[int] = []  # neurons the previous step left at or above threshold
     k = 0
@@ -226,9 +230,9 @@ def simulate(circuit: CircuitGraph, drive: Mapping[str, SpikeTrain],
         # Row j of the block is v * decay**(j+1), multiplied one step at a
         # time; + 0.0 gives a zero the sign the scalar update gives it.
         block = potentials[k:event + 1]
-        block[:] = decay_row
         block[0] *= v
-        np.multiply.accumulate(block, axis=0, out=block)
+        if event > k:
+            np.multiply.accumulate(block, axis=0, out=block)
         block += 0.0
         v = block[-1]
         k = event + 1

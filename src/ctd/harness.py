@@ -253,23 +253,27 @@ def _write_csv(path: Path, header: Sequence[str], chunks: Iterable[bytes]) -> Pa
     Every line joins its fields by commas and ends in CRLF. `_csv_lines` makes
     a chunk of a row of fields, each a str or a value whose str is written;
     `_potential_chunks` makes one per row block of floats, each written as
-    its repr by orjson and a layout translation. The bytes are those of csv's
-    default dialect as long as no field holds a comma, a quote or a line break
-    and every number is a Python float, whose str is its shortest round-trip
-    repr. The trace files hold only such floats and the neuron ids, roles and
-    enum values made by the circuit builders.
+    its repr by orjson and the layout translations the block's magnitudes
+    call for. The bytes are those of csv's default dialect as long as no
+    field holds a comma, a quote or a line break and every number is a
+    Python float, whose str is its shortest round-trip repr. The trace files
+    hold only such floats and the neuron ids, roles and enum values made by
+    the circuit builders.
     """
     return _write_file(path, chain(_csv_lines((header,)), chunks))
 
 
 _BLOCK_CELLS = 4096
 # orjson writes each float's shortest round-trip digits, those of repr, in
-# Ryu's layout; repr lays out values below 1e-4 and from 1e16 differently.
-# Each pattern starts with a literal, so a scan jumps to its candidates, and
-# none consumes the next field. The lookbehind keeps 10.00001 whole.
+# Ryu's layout. repr lays them out otherwise in [1e-5, 1e-4) (orjson writes
+# 0.0000D..), in [1e-9, 1e-5) (a one-digit exponent) and from 1e16 up, and a
+# block is scanned only for the layouts its cells take. The bounds are exact:
+# x >= 1e-k compares x with the double nearest 10**-k, which no shortest
+# round-trip string crosses, so repr's exponent changes where the comparison
+# does. Each pattern starts with a literal, so a scan jumps to its candidates,
+# and none consumes the next field. The lookbehind keeps 10.00001 whole.
 _FIFTH_PLACE = re.compile(rb"0\.0000(?<!\d0\.0000)(\d)(\d*)")  # 0.0000Dd.. -> D.d..e-05
 _ONE_DIGIT_DOWN = re.compile(rb"e-(?=\d(?!\d))")               # e-N -> e-0N
-_UNSIGNED_UP = re.compile(rb"e(?=\d)")                          # eN -> e+N
 
 
 def _fifth_place(match: re.Match) -> bytes:
@@ -280,9 +284,11 @@ def _fifth_place(match: re.Match) -> bytes:
 def _potential_chunks(values: np.ndarray, dt: float) -> Iterator[bytes]:
     """The lines `(k * dt, *values[k])` of each row block, as one chunk.
 
-    A block holds about `_BLOCK_CELLS` cells and is one `orjson.dumps`, whose
-    digits the patterns above lay out as repr does. orjson writes NaN and
-    infinities as null, so those cells take their repr in its place.
+    A block holds about `_BLOCK_CELLS` cells and is one `orjson.dumps`. The
+    block's magnitudes pick which of the patterns above it needs to lay its
+    digits out as repr does. Cells from 1e16 up, NaN and the infinities are
+    dumped as NaN, which orjson writes as null, and take their repr in its
+    place.
     """
     n, m = values.shape
     step = max(1, _BLOCK_CELLS // (m + 1))
@@ -292,14 +298,20 @@ def _potential_chunks(values: np.ndarray, dt: float) -> Iterator[bytes]:
         # int k to float64 is exact below 2**53, so each time is k * dt's bits.
         block[:, 0] = np.arange(s, s + len(block)) * dt
         block[:, 1:] = values[s:s + step]
+        a = np.abs(block)
+        wide = ~(a < 1e16)  # from 1e16 up, NaN and the infinities
+        reprs = None
+        if wide.any():
+            reprs = [repr(x).encode() for x in block[wide].tolist()]
+            block[wide] = np.nan
         text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2]
-        text = _UNSIGNED_UP.sub(b"e+", _ONE_DIGIT_DOWN.sub(
-            b"e-0", _FIFTH_PLACE.sub(_fifth_place, text)))
-        odd = ~np.isfinite(block)
-        if odd.any():
-            reprs = [repr(x).encode() for x in block[odd].tolist()]
+        if ((a >= 1e-5) & (a < 1e-4)).any():
+            text = _FIFTH_PLACE.sub(_fifth_place, text)
+        if ((a >= 1e-9) & (a < 1e-5)).any():
+            text = _ONE_DIGIT_DOWN.sub(b"e-0", text)
+        if reprs:
             text = b"".join(chain.from_iterable(zip(text.split(b"null"), [*reprs, b""])))
-        yield text.replace(b"],[", b"\r\n") + b"\r\n"
+        yield b"\r\n".join([*text.split(b"],["), b""])
 
 
 def write_json(path: Path, doc: Any) -> Path:

@@ -378,6 +378,28 @@ def test_untouched_hot_neuron_fires_when_refractory_ends():
     assert all(v[k] == v[k - 1] * decay for k in range(1, 20))
 
 
+def test_stretches_at_the_edges_of_the_potentials_buffer_match_reference():
+    # simulate fills every row with the decay factors before its first step.
+    # Z fires on a drive spike at step 0 and resets to -0.0, then only decays;
+    # B's arrivals make events of steps 1 to 4 in a row (one-row stretches,
+    # the first also with Z's delivery), of step 9 and of the last step, 11.
+    c = CircuitGraph()
+    c.add_neuron("Z", NeuronParams(v_reset=-0.0, v_floor=-0.0))
+    c.add_neuron("B")
+    c.add_synapse("Z", "B", EXC, 0.25)
+    c.add_input_port("z", "Z", weight=1.2)
+    c.add_input_port("b", "B", weight=0.05)
+    drive = {"z": SpikeTrain((0.0,)), "b": SpikeTrain((1.0, 2.0, 3.0, 4.0, 9.0, 11.0))}
+    trace = _assert_matches_reference(c, drive, 12.0, 1.0)
+    assert trace.spikes == {"Z": (0.0,), "B": ()}
+    z, b = _column(trace, "Z"), _column(trace, "B")
+    assert [repr(x) for x in z] == ["-0.0"] + ["0.0"] * 11
+    decay = math.exp(-1.0 / 20.0)
+    assert b[0] == 0.0 and b[1] == 0.3
+    assert b[10] == 0.0 + b[9] * decay + 0.0
+    assert b[11] == (0.0 + b[10] * decay + 0.0) + 0.05
+
+
 @pytest.mark.parametrize("tau_m", [1.0, 20.0])
 def test_long_decay_from_floor_matches_reference(tau_m):
     # 20,000 steps from v_floor, nearly all quiet. With decay exp(-1) < 1/2 the

@@ -7,11 +7,13 @@ import dataclasses
 import functools
 import json
 import math
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -280,7 +282,7 @@ def _reference_lines(trace: Trace) -> bytes:
     return potentials_csv(trace).split(b"\r\n", 1)[1]
 
 
-# Exponent fields from 2^-70 to 2^60 hold every layout switch: 1e-10 to 1e-5
+# Exponent fields from 2^-70 to 2^60 hold every layout switch: 1e-9 to 1e-5
 # (one-digit negative exponents), 1e-5 to 1e-4 (five decimal places) and 1e16.
 _BITS = st.builds(lambda sign, exp, frac: sign << 63 | exp << 52 | frac,
                   st.integers(0, 1), st.one_of(st.integers(0, 2047), st.integers(953, 1083)),
@@ -311,6 +313,60 @@ def test_potential_lines_write_each_float_as_its_repr(values):
     trace = Trace(dt=1.0, duration=1.0, spikes={f"n{j}": () for j in range(len(values))},
                   potentials=np.array([values]))
     assert _lines(trace) == ",".join(map(repr, (0.0, *values))).encode() + b"\r\n"
+
+
+# Each layout bound and the floats next to it, with both signs. A one-cell
+# block is scanned only for the layout of its one cell, so a bound that is off
+# by one ulp leaves that cell in orjson's layout.
+_BOUNDS = (1e-9, 1e-5, 1e-4, 1e16)
+_NEAR_BOUNDS = [s * x for b in _BOUNDS for s in (1.0, -1.0)
+                for x in (float(np.nextafter(b, 0.0)), b, float(np.nextafter(b, math.inf)))]
+
+
+@pytest.mark.parametrize("x", {repr(x): x for x in _NEAR_BOUNDS + list(_EDGE_FLOATS)}.values(),
+                         ids=repr)
+def test_a_one_cell_table_writes_its_float_as_its_repr(x):
+    trace = Trace(dt=1.0, duration=1.0, spikes={"n0": ()}, potentials=np.array([[x]]))
+    assert _lines(trace) == b"0.0," + repr(x).encode() + b"\r\n"
+
+
+def _orjson_fields(values) -> list[str]:
+    text = orjson.dumps(np.array(values), option=orjson.OPT_SERIALIZE_NUMPY)
+    return text[1:-1].decode().split(",")
+
+
+def _spread(lo: float, hi: float) -> list[float]:
+    # Both ends of [lo, hi) and log-spaced floats inside it, with both signs.
+    rng = np.random.default_rng(0)
+    inner = np.exp(rng.uniform(math.log(lo), math.log(hi), 200)).tolist()
+    return [s * x for x in [lo, float(np.nextafter(hi, 0.0)), *inner] for s in (1.0, -1.0)]
+
+
+# _potential_chunks scans a block only for the layouts its magnitudes can
+# take, so it relies on this layout of orjson's; pyproject.toml allows any
+# orjson from 3.8 on.
+def test_orjson_writes_repr_from_1e_4_to_1e16_below_1e_9_and_at_zero():
+    values = [0.0, -0.0, 5e-324, *_spread(1e-4, 1e16), *_spread(5e-324, 1e-9)]
+    assert _orjson_fields(values) == list(map(repr, values))
+
+
+def test_orjson_writes_five_decimal_places_from_1e_5_to_1e_4():
+    values = _spread(1e-5, 1e-4)
+    for x, field in zip(values, _orjson_fields(values)):
+        digits, exponent = repr(abs(x)).split("e")
+        assert exponent == "-05"
+        assert field == "-" * (x < 0) + "0.0000" + digits.replace(".", "")
+
+
+def test_orjson_writes_a_one_digit_exponent_from_1e_9_to_1e_5():
+    values = _spread(1e-9, 1e-5)
+    for x, field in zip(values, _orjson_fields(values)):
+        assert re.fullmatch(r"-?\d(\.\d+)?e-0\d", repr(x))
+        assert field == repr(x).replace("e-0", "e-")
+
+
+def test_orjson_writes_null_for_nan_and_the_infinities():
+    assert _orjson_fields([math.nan, math.inf, -math.inf]) == ["null"] * 3
 
 
 def test_potential_lines_of_a_fortran_ordered_view_match_the_reference():
