@@ -271,19 +271,6 @@ def build_ctd(n_sensors: int, variant: str,
     return circuit, CtdHandles(pdd_units=tuple(pdd_units), depth_layers=tuple(layers))
 
 
-def build_excitatory_loop_fixture(w_loop: float = 1.2) -> tuple[CircuitGraph, str]:
-    """Judge-bank-styled neuron with an excitatory feedback synapse.
-
-    One suprathreshold kick makes it re-fire itself forever; the contrast
-    fixture for the seizure-damping checks.
-    """
-    circuit = CircuitGraph()
-    circuit.add_neuron("loop", NeuronParams(), role="judge")
-    circuit.add_synapse("loop", "loop", EXC, w_loop, delay=3)
-    circuit.add_input_port("kick", "loop", weight=w_loop)
-    return circuit, "kick"
-
-
 # --------------------------------------------------------------------------
 # Readouts
 # --------------------------------------------------------------------------
@@ -372,31 +359,38 @@ def classify(trace: Trace, handles: CtdHandles,
     starts = [0.0]
     while starts[-1] + s + w <= trace.duration + 1e-9:
         starts.append(starts[-1] + s)
-    # One sorted search per neuron and window edge: every window's count and first spike.
+    edges = np.array(starts), np.add(starts, w)
+    detectors = {d for u in units for d in u.detector_ids}
+    # One sorted search per neuron and window edge: every window's count, and
+    # each detector's first spike.
     counts, firsts = {}, {}
     for nid, times in trace.spikes.items():
-        lo = np.searchsorted(times, starts)
-        counts[nid] = (np.searchsorted(times, np.add(starts, w)) - lo).tolist()
-        firsts[nid] = [times[j] if n else None for j, n in zip(lo.tolist(), counts[nid])]
-    readouts: list[CognitiveReadout] = []
-    for i, t0 in enumerate(starts):
-        det = [[counts[d][i] for d in u.detector_ids] for u in units]
-        best = max(range(len(units)), key=lambda k: (sum(det[k]), -k))
-        unit, layer = units[best], handles.depth_layers[best]
-        det_count = sum(det[best])
-
-        direction = read_direction([firsts[d][i] for d in unit.detector_ids])
-        if direction is Direction.UNDETERMINED and det_count > 0:
-            direction = global_dir
-
-        evidence = dict(zip(unit.detector_ids, det[best]))
-        evidence.update((nid, counts[nid][i]) for nid in _depth_layer_ids(layer))
-        depth, decisiveness = read_depth(layer, evidence, direction, params.theta_active)
-        readouts.append(CognitiveReadout(window=(t0, t0 + w), direction=direction,
-                                         depth=depth, evidence=evidence,
-                                         unit_index=unit.index,
-                                         decisiveness=decisiveness,
-                                         detector_count=det_count))
+        lo, hi = np.asarray(times, dtype=np.float64).searchsorted(edges)
+        counts[nid] = hi - lo
+        if nid in detectors:
+            firsts[nid] = [times[j] if j < k else None
+                           for j, k in zip(lo.tolist(), hi.tolist())]
+    # Per window the first unit with the most detector spikes wins, so a tie
+    # goes to the lowest index.
+    best = np.array([sum(counts[d] for d in u.detector_ids) for u in units]).argmax(axis=0)
+    readouts = [None] * len(starts)
+    for k, (unit, layer) in enumerate(zip(units, handles.depth_layers)):
+        cols = np.flatnonzero(best == k)
+        ids = (*unit.detector_ids, *_depth_layer_ids(layer))
+        rows = np.array([counts[nid][cols] for nid in ids]).T.tolist()
+        for i, row in zip(cols.tolist(), rows):
+            det_count = row[0] + row[1] + row[2]
+            direction = read_direction([firsts[d][i] for d in unit.detector_ids])
+            if direction is Direction.UNDETERMINED and det_count > 0:
+                direction = global_dir
+            evidence = dict(zip(ids, row))
+            depth, decisiveness = read_depth(layer, evidence, direction,
+                                             params.theta_active)
+            readouts[i] = CognitiveReadout(window=(starts[i], starts[i] + w),
+                                           direction=direction, depth=depth,
+                                           evidence=evidence, unit_index=unit.index,
+                                           decisiveness=decisiveness,
+                                           detector_count=det_count)
     return readouts
 
 

@@ -132,24 +132,6 @@ def _pick_pair(unit: PddUnit, evidence: dict[str, int]) -> tuple[str, str] | Non
     return pairs[0] if counts[0] > counts[1] else pairs[1]
 
 
-def _correlation_depths(trace: Trace, handles: CtdHandles, scenario: Scenario,
-                        readouts: Sequence[CognitiveReadout]) -> list[DepthState]:
-    params = scenario.correlation_params()
-    trains = {nid: SpikeTrain(trace.spikes[nid])
-              for unit in handles.pdd_units for nid in unit.detector_ids}
-    depths = []
-    for r in readouts:
-        unit = handles.pdd_units[r.unit_index]
-        pair = _pick_pair(unit, r.evidence)
-        if pair is None:
-            depths.append(DepthState.M)
-            continue
-        left, right = (trains[nid].window(*r.window) for nid in pair)
-        depths.append(classify_by_correlation(left, right, r.direction, params,
-                                              duration_ms=r.window[1] - r.window[0]))
-    return depths
-
-
 def _run_with_trains(scenario: Scenario, variant: str,
                      trains: Sequence[SpikeTrain]) -> RunArtifacts:
     params = scenario.ctd_params()
@@ -158,7 +140,10 @@ def _run_with_trains(scenario: Scenario, variant: str,
     trace = simulate(circuit, drive, scenario.duration_ms, scenario.dt_ms)
     readouts = classify(trace, handles, params)
     dominant = dominant_readout(readouts)
-    correlation_depths = _correlation_depths(trace, handles, scenario, readouts)
+    correlation_depths = classify_by_correlation(
+        trace.spikes, [r.window for r in readouts],
+        [_pick_pair(handles.pdd_units[r.unit_index], r.evidence) for r in readouts],
+        [r.direction for r in readouts], scenario.correlation_params())
     metrics = potential_variation(trace, handles.depth_neuron_ids())
 
     assertions = {

@@ -17,7 +17,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .errors import OutOfRange, ValidationError
+from .errors import ValidationError
 
 Point = tuple[float, float]
 
@@ -39,12 +39,6 @@ class SpikeTrain:
 
     def __len__(self) -> int:
         return len(self.times)
-
-    def window(self, t0: float, t1: float) -> "SpikeTrain":
-        """Spikes in [t0, t1), shifted so the window starts at 0."""
-        lo = bisect.bisect_left(self.times, t0)
-        hi = bisect.bisect_left(self.times, t1)
-        return SpikeTrain(tuple(t - t0 for t in self.times[lo:hi]))
 
     @property
     def last(self) -> float | None:
@@ -212,14 +206,6 @@ class Waypoints:
 
 
 Trajectory = Approach | Recede | Tangent | Waypoints
-
-
-def agent_position(traj: Trajectory, t_ms: float) -> Point:
-    """Agent position at time t; raises OutOfRange outside [0, duration]."""
-    if not (0.0 <= t_ms <= traj.duration_ms):
-        raise OutOfRange(f"t={t_ms} outside [0, {traj.duration_ms}]")
-    x, y = traj.positions(np.array([t_ms], dtype=np.float64))
-    return float(x[0]), float(y[0])
 
 
 # --------------------------------------------------------------------------

@@ -1,25 +1,51 @@
-"""Reference correlation path: the per-bin, per-lag code that
-`ctd.correlation` replaced. Binning walks the spike times one by one, and
-the profile makes one `xcorr` call per lag plus two for the zero-lag
-autocorrelations. The property tests in test_correlation.py require
-`normalized_profile` and `classify_by_correlation` to reproduce it exactly.
+"""Reference correlation path, one window at a time: the per-window, per-bin
+and per-lag code that the per-run `ctd.correlation.classify_by_correlation`
+replaced. `window` cuts a detector's train to one readout window, binning
+walks the spike times one by one, and the profile makes one `xcorr` call per
+lag plus two for the zero-lag autocorrelations. `classify_windows` runs the
+per-window classifier over a run's readout windows as the harness once did;
+the property tests in test_correlation.py require the per-run check to
+reproduce it bit for bit. The tests also exercise `bin_spikes`,
+`normalized_profile` and `from_kind` on their own.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 from ctd.circuits import DepthState, Direction
-from ctd.correlation import (BinnedTrain, CorrelationParams, CorrelationProfile,
-                             xcorr)
-from ctd.errors import HorizonTooShort
+from ctd.core import ConnectionKind
+from ctd.correlation import BinnedTrain, CorrelationParams, xcorr
+from ctd.errors import BinMismatch, HorizonTooShort
 from ctd.world import SpikeTrain
+
+
+@dataclass(frozen=True)
+class CorrelationProfile:
+    lags: tuple[int, ...]
+    values: tuple[float, ...]
+    degenerate: bool = False
+
+
+def from_kind(counts: Sequence[int], bin_width: float,
+              kind: ConnectionKind) -> BinnedTrain:
+    """Counts carrying the sign of the connection that delivers them."""
+    return BinnedTrain(tuple(int(c) for c in counts), bin_width, kind.sign)
+
+
+def window(train: SpikeTrain, t0: float, t1: float) -> SpikeTrain:
+    """Spikes in [t0, t1), shifted so the window starts at 0."""
+    lo = bisect.bisect_left(train.times, t0)
+    hi = bisect.bisect_left(train.times, t1)
+    return SpikeTrain(tuple(t - t0 for t in train.times[lo:hi]))
 
 
 def bin_spikes(train: SpikeTrain, bin_width: float, horizon: float) -> BinnedTrain:
     """Counts per [i*w, (i+1)*w) bin; a spike landing exactly on the horizon
-    goes into the last bin."""
+    goes into the last bin. Total count is preserved."""
     if bin_width <= 0 or horizon <= 0:
         raise ValueError("bin width and horizon must be positive")
     if train.times and train.times[-1] > horizon:
@@ -36,6 +62,8 @@ def normalized_profile(x: BinnedTrain, y: BinnedTrain,
                        lags: Sequence[int]) -> CorrelationProfile:
     """Correlation per lag over the geometric mean of the zero-lag
     autocorrelations; all-zero and degenerate when either side is."""
+    if x.bin_width != y.bin_width:
+        raise BinMismatch(f"bin widths differ: {x.bin_width} vs {y.bin_width}")
     lag_tuple = tuple(int(w) for w in lags)
     x0 = xcorr(x, x, 0)
     y0 = xcorr(y, y, 0)
@@ -79,3 +107,21 @@ def classify_by_correlation(left: SpikeTrain, right: SpikeTrain,
     if rel <= -params.theta_rate:
         return DepthState.F
     return DepthState.M
+
+
+def classify_windows(spikes: Mapping[str, Sequence[float]],
+                     windows: Sequence[tuple[float, float]],
+                     pairs: Sequence[tuple[str, str] | None],
+                     directions: Sequence[Direction],
+                     params: CorrelationParams) -> list[DepthState]:
+    """The per-window classifier on each window's pair, M where there is none."""
+    trains = {nid: SpikeTrain(tuple(times)) for nid, times in spikes.items()}
+    depths = []
+    for (t0, t1), pair, direction in zip(windows, pairs, directions):
+        if pair is None:
+            depths.append(DepthState.M)
+            continue
+        left, right = (window(trains[nid], t0, t1) for nid in pair)
+        depths.append(classify_by_correlation(left, right, direction, params,
+                                              duration_ms=t1 - t0))
+    return depths

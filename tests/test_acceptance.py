@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 import time
 
-from ctd.circuits import Direction, build_ctd, build_excitatory_loop_fixture
+from ctd.circuits import Direction, build_ctd
 from ctd.cli import main as cli_main
 from ctd.core import simulate
 from ctd.correlation import BinnedTrain, signed_xcorr, xcorr
@@ -18,6 +18,7 @@ from ctd.harness import pdd_exclusivity_ok
 from ctd.scenario import emit_scenario
 from ctd.suite import scripted_suite
 from ctd.world import SpikeTrain
+from fixtures import build_excitatory_loop_fixture
 
 
 def _criterion(num: int, desc: str, ok: bool, detail: str = "") -> None:

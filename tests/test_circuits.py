@@ -11,15 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctd.circuits import (CtdParams, DEFAULT_JUDGE_MATRIX, DepthState, Direction,
-                          build_ctd, build_ddm_unit, build_excitatory_loop_fixture,
-                          build_judge_bank, build_pdd_chain, build_pdd_unit,
-                          classify, dominant_readout, read_depth, read_direction)
+                          build_ctd, build_ddm_unit, build_judge_bank,
+                          build_pdd_chain, build_pdd_unit, classify,
+                          dominant_readout, read_depth, read_direction)
 from ctd.core import CircuitGraph, ConnectionKind, Trace, simulate
 from ctd.errors import BadArity, DuplicatePort, NegativeWeight, UnknownNeuron
 from ctd.harness import pdd_exclusivity_ok
 from ctd.scenario import Scenario
 from ctd.world import (SensorSpec, SpikeTrain, Tangent, Waypoints, encode_spikes,
                        mirror_sensors, mirror_trajectory, sense_scenario)
+from fixtures import build_excitatory_loop_fixture
 import reference_readout
 
 P = CtdParams()
@@ -280,6 +281,81 @@ def test_excitatory_loop_fixture_sustains_firing():
     spikes = trace.spikes["loop"]
     assert spikes[-1] - spikes[0] >= 500.0
     assert len(spikes) > 100
+
+
+def _excitatory_latency(circuit: CircuitGraph, dt: float) -> float | None:
+    """The most time firing can outlast its drive, or None when the
+    excitatory subgraph has a cycle.
+
+    A neuron fires at the latest one refractory period after its last
+    excitatory arrival: later input only inhibits, and from below threshold
+    decay only falls toward rest. So along the longest excitatory path, in
+    time, each neuron adds its refractory period and each hop its delay.
+    """
+    ids = circuit.neuron_ids
+    latency = {nid: circuit.params_of(nid).refractory for nid in ids}
+    indegree = dict.fromkeys(ids, 0)
+    outgoing: dict[str, list] = {nid: [] for nid in ids}
+    for syn in circuit.synapses:
+        if syn.kind is ConnectionKind.EXCITATORY:
+            outgoing[syn.pre].append(syn)
+            indegree[syn.post] += 1
+    ready = [nid for nid in ids if indegree[nid] == 0]
+    ordered = 0
+    while ready:
+        pre = ready.pop()
+        ordered += 1
+        for syn in outgoing[pre]:
+            latency[syn.post] = max(latency[syn.post],
+                                    latency[pre] + syn.delay * dt
+                                    + circuit.params_of(syn.post).refractory)
+            indegree[syn.post] -= 1
+            if indegree[syn.post] == 0:
+                ready.append(syn.post)
+    return max(latency.values()) if ordered == len(ids) else None
+
+
+def test_excitatory_latency_sees_the_loop_fixture_cycle():
+    circuit, _ = build_excitatory_loop_fixture()
+    assert _excitatory_latency(circuit, 1.0) is None
+
+
+_OVERRIDES = {
+    "w_ext": st.floats(0.0, 3.0), "w_inh": st.floats(0.0, 2.0),
+    "detector_tau": st.floats(1.0, 50.0), "reg_w_in": st.floats(0.0, 2.0),
+    "reg_w_mutual": st.floats(0.0, 2.0), "reg_tau": st.floats(1.0, 50.0),
+    "reg_threshold": st.floats(0.1, 2.0), "assess_w_exc": st.floats(0.0, 2.0),
+    "assess_w_inh": st.floats(0.0, 2.0), "assess_tau": st.floats(1.0, 50.0),
+    "assess_threshold": st.floats(0.2, 2.0), "assess_reset": st.floats(0.0, 0.15),
+    "assess_floor": st.floats(-1.0, 0.0), "judge_tau": st.floats(1.0, 50.0),
+    "judge_reset": st.floats(-1.0, 0.5), "refractory": st.floats(0.0, 5.0),
+    "v_floor": st.floats(-2.0, 0.0),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_sensors=st.sampled_from(range(3, 25, 3)),
+       variant=st.sampled_from(["ddm", "weights"]),
+       overrides=st.fixed_dictionaries({}, optional=_OVERRIDES),
+       dt=st.sampled_from([0.5, 1.0]), data=st.data())
+def test_build_ctd_firing_ends_within_its_longest_excitatory_path(
+        n_sensors, variant, overrides, dt, data):
+    # Seizure damping holds by structure: build_ctd's excitatory edges run
+    # detector -> regulatory -> assessing and detector -> judge, so however the
+    # inhibition is set, firing stops a few hops after the drive does.
+    params = Scenario(overrides=overrides).ctd_params()
+    circuit, _ = build_ctd(n_sensors, variant, params)
+    latency = _excitatory_latency(circuit, dt)
+    assert latency is not None
+    steps = 400
+    drive = {f"sensor{i}": SpikeTrain(tuple(k * dt for k in sorted(ks))) for i, ks in
+             enumerate(data.draw(st.lists(st.sets(st.integers(0, steps // 2), max_size=120),
+                                          min_size=n_sensors, max_size=n_sensors)))}
+    last_in = max((t.last for t in drive.values() if t.last is not None), default=None)
+    trace = simulate(circuit, drive, steps * dt, dt)
+    last_out = max((times[-1] for times in trace.spikes.values() if times), default=None)
+    if last_out is not None:
+        assert last_out <= last_in + latency
 
 
 def test_default_judge_matrix_shape():

@@ -579,8 +579,9 @@ def test_cli_suite_rejects_unusable_output_names_before_running(tmp_path, capsys
 
 
 def _peak_pair_correlation(kind: str) -> float:
-    from ctd.correlation import CorrelationParams, bin_spikes, normalized_profile
+    from ctd.correlation import CorrelationParams
     from ctd.world import SpikeTrain
+    from reference_correlation import bin_spikes, normalized_profile
 
     a = run_scenario(canonical_scenario(kind))
     trace = a.trace

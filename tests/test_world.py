@@ -17,9 +17,11 @@ from hypothesis import strategies as st
 
 from ctd.errors import OutOfRange
 from ctd.world import (Approach, Encoding, Pose, Recede, SensorSpec, SpikeTrain,
-                       Tangent, Waypoints, agent_position, default_fan_config,
-                       encode_spikes, mirror_sensors, mirror_trajectory,
-                       sense_scenario, sensor_rates)
+                       Tangent, Waypoints, default_fan_config, encode_spikes,
+                       mirror_sensors, mirror_trajectory, sense_scenario,
+                       sensor_rates)
+from fixtures import agent_position
+from reference_correlation import window
 import reference_sensing
 from reference_sensing import reference_sense
 
@@ -44,8 +46,8 @@ def test_spike_train_validation():
         with pytest.raises(ValueError, match=str(bad)):
             SpikeTrain((bad,))
     train = SpikeTrain((1.0, 5.0, 9.0))
-    assert len(train.window(1.0, 9.0)) == 2
-    assert train.window(4.0, 10.0).times == (1.0, 5.0)
+    assert len(window(train, 1.0, 9.0)) == 2
+    assert window(train, 4.0, 10.0).times == (1.0, 5.0)
 
 
 @pytest.mark.parametrize("mode", list(Encoding))
