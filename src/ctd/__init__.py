@@ -20,9 +20,8 @@ from .core import (CircuitGraph, ConnectionKind, NeuronParams, Synapse, Trace,
                    simulate)
 from .correlation import (BinnedTrain, CorrelationParams,
                           classify_by_correlation, signed_xcorr, xcorr)
-from .errors import (BadArity, BinMismatch, CtdError, DuplicatePort,
-                     HorizonTooShort, NegativeWeight, OutOfRange, ParseError,
-                     UnknownKey, UnknownNeuron, UnknownPort, ValidationError)
+from .errors import (BadArity, BinMismatch, CtdError, DuplicatePort, NegativeWeight,
+                     ParseError, UnknownKey, UnknownNeuron, UnknownPort, ValidationError)
 from .harness import (RunArtifacts, VariantComparison, VariationMetrics,
                       compare_variants, emit_outputs, pdd_exclusivity_ok,
                       potential_variation, run_scenario, seizure_damped)

@@ -14,23 +14,33 @@ at or past the end of the previous refractory period. A spike fired at step k
 reaches its targets at step k + delay, never within step k (observation, then
 commit); each drive spike delivers its input port's weight once.
 
-`simulate` holds the state in the potentials array and is event driven, in
-the hybrid clock/event scheme of Brette et al. (2007). Every row of the array
-starts as the neurons' decay factors, and every stretch of steps up to and
-including the next event step is decayed in place as one block: its first
-row is multiplied by the potentials before it, one np.multiply.accumulate
-over (steps, neurons) carries the products down a stretch of more than one
-row, and + 0.0 follows. Row k is v * decay + 0.0, which equals the update
-above without deliveries, signed zeros included, and is never -0.0. An
-event step is one at which some delivery is due, or the step after one that
-left a neuron at or above its threshold inside its refractory period; at it,
-only the neurons with arrivals or left at threshold are updated, from their
-decayed value: x = row + fsum(deliveries), which is the update above bit for
-bit. Every other neuron lay below its positive threshold and at or above
-v_floor <= 0, so decay alone can neither fire nor clamp it. Rotter &
-Diesmann (1999) advance linear stretches with the closed-form propagator
-decay**span; the block multiplies the stretch out step by step instead,
-because decay**span rounds differently.
+`simulate` holds the state in one buffer and is event driven, in the hybrid
+clock/event scheme of Brette et al. (2007). Row k + 1 holds the potentials
+after step k and row 0 the rest state; every later row starts as the decay
+factors. One numpy call decays each stretch of steps up to and including the
+next event step in place: np.multiply by the row before it for one row,
+np.multiply.accumulate over the stretch and that row for more. A row is then
+v * decay, the update above without deliveries, but may hold -0.0 where the
+update gives 0.0: the sign of a zero never changes a product's magnitude, and
+one + 0.0 over the finished array fixes it. An event step is one at which
+some delivery is due, or the step after one that left a neuron at or above
+its threshold inside its refractory period. At it, only the neurons with
+arrivals or left at threshold are updated, from their decayed value:
+x = row + s + 0.0, with s the one delivery or the fsum of several. That is
+the update above bit for bit, + 0.0 giving a sum of two zeros the sign of
+0.0 + row + s, and never -0.0; a -0.0 set by a reset or the floor is written
+back after the final + 0.0. Every other neuron lay below its positive
+threshold and at or above v_floor <= 0, so decay alone can neither fire nor
+clamp it. Rotter & Diesmann (1999) advance linear stretches with the
+closed-form propagator decay**span, which rounds differently.
+
+Neurons that a `known` trace also holds are copied from it, not simulated,
+since a neuron moves only by its own drive and arrivals: their drive is
+skipped, and each of their spikes at step k is queued for the others at
+k + delay. A synapse into them from another neuron raises. The result is the
+full run bit for bit if `known` was simulated with the same dt and duration,
+the shared neurons having the same parameters, ports, drive and synapses
+among themselves.
 """
 
 from __future__ import annotations
@@ -176,11 +186,12 @@ class Trace:
 
 
 def simulate(circuit: CircuitGraph, drive: Mapping[str, SpikeTrain],
-             duration: float, dt: float) -> Trace:
+             duration: float, dt: float, known: Trace | None = None) -> Trace:
     """Run the circuit against per-port drive trains; deterministic end to end.
 
-    Each stretch up to the next event step decays in one block; at the event
-    step only the neurons it touches are updated (module docstring).
+    Each stretch up to the next event step decays in one numpy call; at the
+    event step only the neurons it touches are updated. Neurons `known` also
+    holds are copied from it (module docstring).
     """
     if not (0 < duration < math.inf and 0 < dt < math.inf):
         raise ValueError("duration and dt must be positive and finite")
@@ -190,6 +201,9 @@ def simulate(circuit: CircuitGraph, drive: Mapping[str, SpikeTrain],
 
     ids = circuit.neuron_ids
     index = {nid: i for i, nid in enumerate(ids)}
+    # shared[nid]: the column in `known` of a neuron taken from it.
+    shared = {} if known is None else {
+        nid: j for j, nid in enumerate(known.neuron_ids) if nid in index}
     # pending[k][i]: the signed weights that arrive at neuron i at step k;
     # `due` is a heap of the keys of `pending`.
     pending: dict[int, dict[int, list[float]]] = {}
@@ -197,16 +211,26 @@ def simulate(circuit: CircuitGraph, drive: Mapping[str, SpikeTrain],
         spec = circuit.input_ports.get(port)
         if spec is None:
             raise UnknownPort(port)
+        if spec.neuron in shared:
+            continue
         for s in train.times:
             if not (0.0 <= s < duration):
                 raise ValueError(f"drive spike {s} outside [0, {duration})")
             k = int(math.floor(s / dt + 1e-9))
             pending.setdefault(k, {}).setdefault(index[spec.neuron], []).append(spec.weight)
-    due = list(pending)
-    heapq.heapify(due)
     outgoing: list[list[tuple[int, int, float]]] = [[] for _ in ids]
     for syn in circuit.synapses:
+        if syn.post in shared:
+            if syn.pre not in shared:
+                raise ValueError(f"synapse {syn.pre} -> {syn.post} drives a known neuron")
+            continue
         outgoing[index[syn.pre]].append((syn.delay, index[syn.post], syn.signed_weight))
+    for nid in shared:
+        for t in known.spikes[nid]:
+            for delay, post, weight in outgoing[index[nid]]:
+                pending.setdefault(round(t / dt) + delay, {}).setdefault(post, []).append(weight)
+    due = list(pending)
+    heapq.heapify(due)
 
     params = [circuit.params_of(nid) for nid in ids]
     v_threshold = [p.v_threshold for p in params]
@@ -217,24 +241,25 @@ def simulate(circuit: CircuitGraph, drive: Mapping[str, SpikeTrain],
     n = len(ids)
     refractory_until = [-math.inf] * n
     spikes: list[list[float]] = [[] for _ in ids]
-    # Every row starts as the decay factors; a stretch multiplies its rows
-    # out in place, and no row is written before its stretch.
-    potentials = np.empty((n_steps, n))
-    potentials[:] = [math.exp(-dt / p.tau_m) for p in params]
-    v = np.zeros(n)  # the potentials after the previous step
+    # Row k + 1 holds the potentials after step k; a stretch multiplies its
+    # rows out in place, and no row is written before its stretch.
+    buf = np.empty((n_steps + 1, n))
+    buf[0] = 0.0
+    buf[1:] = [math.exp(-dt / p.tau_m) for p in params]
+    signed: list[tuple[int, int]] = []  # event cells set to -0.0 by reset or floor
     hot: list[int] = []  # neurons the previous step left at or above threshold
+    v = buf[0]  # the potentials after the previous step
     k = 0
     while k < n_steps:
         # The next event step, or the last step if none is left.
         event = k if hot else min(due[0], n_steps - 1) if due else n_steps - 1
-        # Row j of the block is v * decay**(j+1), multiplied one step at a
-        # time; + 0.0 gives a zero the sign the scalar update gives it.
-        block = potentials[k:event + 1]
-        block[0] *= v
-        if event > k:
-            np.multiply.accumulate(block, axis=0, out=block)
-        block += 0.0
-        v = block[-1]
+        # One numpy call decays the stretch from v.
+        if event == k:
+            row = buf[k + 1]
+            v = np.multiply(v, row, out=row)
+        else:
+            rows = buf[k:event + 2]
+            v = np.multiply.accumulate(rows, axis=0, out=rows)[-1]
         k = event + 1
 
         arrivals: dict[int, list[float]] = {}
@@ -242,12 +267,14 @@ def simulate(circuit: CircuitGraph, drive: Mapping[str, SpikeTrain],
             heapq.heappop(due)
             arrivals = pending.pop(event)
         t = event * dt
-        touched = arrivals.keys() | hot
+        touched = arrivals.keys() | hot if hot else arrivals
         hot = []
         fired = []
         for i in touched:
             inputs = arrivals.get(i)
-            x = v.item(i) + math.fsum(inputs) if inputs else v.item(i)
+            x = v.item(i)
+            if inputs:  # + 0.0 gives a zero the sign the scalar update gives it
+                x = x + (inputs[0] if len(inputs) == 1 else math.fsum(inputs)) + 0.0
             if x < v_floor[i]:
                 x = v_floor[i]
             if x >= v_threshold[i]:
@@ -258,6 +285,8 @@ def simulate(circuit: CircuitGraph, drive: Mapping[str, SpikeTrain],
                 else:
                     hot.append(i)
             v[i] = x
+            if not x and math.copysign(1.0, x) < 0.0:
+                signed.append((event, i))
 
         for i in fired:
             spikes[i].append(t)
@@ -268,6 +297,13 @@ def simulate(circuit: CircuitGraph, drive: Mapping[str, SpikeTrain],
                     heapq.heappush(due, event + delay)
                 slot.setdefault(post, []).append(weight)
 
+    potentials = buf[1:]
+    potentials += 0.0
+    for row, i in signed:
+        potentials[row, i] = -0.0
+    for nid, j in shared.items():
+        potentials[:, index[nid]] = known.potentials[:, j]
+        spikes[index[nid]] = known.spikes[nid]
     return Trace(dt=dt, duration=duration,
                  spikes={nid: tuple(spikes[i]) for i, nid in enumerate(ids)},
                  potentials=potentials)

@@ -27,16 +27,8 @@ class NegativeWeight(CtdError):
     """Judge-bank weight matrices must be nonnegative."""
 
 
-class OutOfRange(CtdError):
-    """A trajectory was queried outside [0, duration]."""
-
-
 class BinMismatch(CtdError):
     """Correlation operands were binned with different bin widths."""
-
-
-class HorizonTooShort(CtdError):
-    """Binning horizon ends before the last spike of the train."""
 
 
 class ParseError(CtdError):

@@ -132,12 +132,12 @@ def _pick_pair(unit: PddUnit, evidence: dict[str, int]) -> tuple[str, str] | Non
     return pairs[0] if counts[0] > counts[1] else pairs[1]
 
 
-def _run_with_trains(scenario: Scenario, variant: str,
-                     trains: Sequence[SpikeTrain]) -> RunArtifacts:
+def _run_with_trains(scenario: Scenario, variant: str, trains: Sequence[SpikeTrain],
+                     known: Trace | None = None) -> RunArtifacts:
     params = scenario.ctd_params()
     circuit, handles = build_ctd(len(scenario.sensors), variant, params)
     drive = {f"sensor{i}": train for i, train in enumerate(trains)}
-    trace = simulate(circuit, drive, scenario.duration_ms, scenario.dt_ms)
+    trace = simulate(circuit, drive, scenario.duration_ms, scenario.dt_ms, known=known)
     readouts = classify(trace, handles, params)
     dominant = dominant_readout(readouts)
     correlation_depths = classify_by_correlation(
@@ -188,10 +188,13 @@ class VariantComparison:
 
 def compare_variants(scenario: Scenario) -> VariantComparison:
     """Run ddm and weights depth layers on the same spike trains and compare
-    their potential-variation metrics."""
+    their potential-variation metrics. The weights run takes the PDD chain
+    from the ddm trace (`simulate(..., known=)`): both circuits build it with
+    the same parameters, ports and drive, and no depth layer projects into it.
+    """
     trains = _sense(scenario)
     ddm = _run_with_trains(scenario, "ddm", trains)
-    weights = _run_with_trains(scenario, "weights", trains)
+    weights = _run_with_trains(scenario, "weights", trains, known=ddm.trace)
     md, mw = ddm.metrics, weights.metrics
     orderings = {
         "max_step": md.max_step < mw.max_step,

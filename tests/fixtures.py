@@ -5,8 +5,12 @@ from __future__ import annotations
 import numpy as np
 
 from ctd.core import CircuitGraph, ConnectionKind, NeuronParams
-from ctd.errors import OutOfRange
+from ctd.errors import CtdError
 from ctd.world import Point, Trajectory
+
+
+class OutOfRange(CtdError):
+    """A trajectory was queried outside [0, duration]."""
 
 
 def agent_position(traj: Trajectory, t_ms: float) -> Point:

@@ -19,8 +19,12 @@ from typing import Mapping, Sequence
 from ctd.circuits import DepthState, Direction
 from ctd.core import ConnectionKind
 from ctd.correlation import BinnedTrain, CorrelationParams, xcorr
-from ctd.errors import BinMismatch, HorizonTooShort
+from ctd.errors import BinMismatch, CtdError
 from ctd.world import SpikeTrain
+
+
+class HorizonTooShort(CtdError):
+    """Binning horizon ends before the last spike of the train."""
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ctd.circuits import CtdParams, build_ctd
 from ctd.core import CircuitGraph, ConnectionKind, NeuronParams, Synapse, simulate
 from ctd.errors import UnknownPort
-from ctd.world import SpikeTrain, encode_spikes
+from ctd.world import Encoding, SpikeTrain, encode_spikes
 from reference_kernel import reference_simulate
 
 EXC = ConnectionKind.EXCITATORY
@@ -414,3 +415,83 @@ def test_long_decay_from_floor_matches_reference(tau_m):
         assert repr(v[-1]) == "0.0" and v.index(0.0) < 1000
     else:
         assert v[-1] == v[15000] == -5e-323
+
+
+def test_event_sums_give_zeros_the_sign_of_the_scalar_update():
+    # D decays from -1 to -0.0 within a few steps (decay exp(-100)); at step
+    # 21 it receives Z's zero-magnitude inhibition, a signed weight of -0.0.
+    # The update gives 0.0 + -0.0 + fsum([-0.0]) = 0.0, where simulate adds
+    # the one weight itself to its -0.0 row. Z resets to -0.0 at step 20,
+    # which the trace keeps.
+    c = CircuitGraph()
+    c.add_neuron("D", NeuronParams(tau_m=0.01, v_floor=-3.0))
+    c.add_neuron("Z", NeuronParams(v_reset=-0.0, v_floor=-0.0))
+    c.add_synapse("Z", "D", INH, 0.0)
+    c.add_input_port("d", "D", weight=-1.0)
+    c.add_input_port("z", "Z", weight=1.2)
+    drive = {"d": SpikeTrain((0.0,)), "z": SpikeTrain((20.0,))}
+    trace = _assert_matches_reference(c, drive, 24.0, 1.0)
+    d, z = _column(trace, "D"), _column(trace, "Z")
+    assert [repr(x) for x in d[19:23]] == ["0.0"] * 4
+    assert [repr(x) for x in z[19:23]] == ["0.0", "-0.0", "0.0", "0.0"]
+
+
+# --------------------------------------------------------------------------
+# simulate with a known trace: neurons taken from an earlier run
+# --------------------------------------------------------------------------
+
+def _columns(trace):
+    return {nid: trace.potentials[:, j].tobytes() for j, nid in enumerate(trace.neuron_ids)}
+
+
+@st.composite
+def _shared_detector_runs(draw):
+    n_sensors = 3 * draw(st.integers(1, 8))
+    dt = draw(st.sampled_from([0.5, 1.0]))
+    n_steps = draw(st.integers(20, 300))
+    # Judges that reset to -0.0 and neurons floored at -0.0.
+    judge_reset, v_floor = draw(st.sampled_from(
+        [(-0.8, -1.0), (-0.0, -0.0), (-0.0, -1.0), (0.0, -0.0)]))
+    params = CtdParams(w_ext=draw(st.floats(0.3, 2.0)), w_inh=draw(st.floats(0.0, 1.2)),
+                       reg_w_in=draw(st.floats(0.0, 1.0)),
+                       judge_tau=draw(st.sampled_from([1.0, 8.0])),
+                       judge_reset=judge_reset, v_floor=v_floor,
+                       refractory=draw(st.sampled_from([0.0, 2.0])))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    # Poisson drive up to p = 0.8 per step, so detectors of one unit often
+    # fire together and their judges take coincident deliveries.
+    drive = {f"sensor{i}": encode_spikes(
+        np.full(n_steps, draw(st.sampled_from([0.0, 60.0, 250.0, 800.0]))),
+        dt, Encoding.POISSON, seed=f"{seed}:{i}") for i in range(n_sensors)}
+    return n_sensors, params, drive, n_steps * dt, dt
+
+
+@settings(max_examples=60, deadline=None)
+@given(_shared_detector_runs())
+def test_known_detectors_give_the_trace_of_a_full_run(case):
+    n_sensors, params, drive, duration, dt = case
+    ddm, _ = build_ctd(n_sensors, "ddm", params)
+    weights, _ = build_ctd(n_sensors, "weights", params)
+    ddm_trace = simulate(ddm, drive, duration, dt)
+    full = simulate(weights, drive, duration, dt)
+    shared = simulate(weights, drive, duration, dt, known=ddm_trace)
+    assert list(shared.spikes.items()) == list(full.spikes.items())
+    assert shared.potentials.tobytes() == full.potentials.tobytes()
+    # And the other way round: the ddm run from the weights run's detectors.
+    again = simulate(ddm, drive, duration, dt, known=full)
+    assert list(again.spikes.items()) == list(ddm_trace.spikes.items())
+    assert _columns(again) == _columns(ddm_trace)
+
+
+def test_known_neurons_reject_synapses_from_the_others():
+    drive = {"sensor0": SpikeTrain((0.0, 3.0))}
+    ddm, _ = build_ctd(3, "ddm")
+    known = simulate(ddm, drive, 20.0, 1.0)
+    weights, _ = build_ctd(3, "weights")
+    weights.add_synapse("judge0.n", "pdd0.det1", EXC, 0.5)
+    with pytest.raises(ValueError, match="judge0.n -> pdd0.det1"):
+        simulate(weights, drive, 20.0, 1.0, known=known)
+    # The same circuit simulates on its own, and with a known trace whose
+    # neurons it does not hold.
+    simulate(weights, drive, 20.0, 1.0)
+    simulate(weights, drive, 20.0, 1.0, known=simulate(_single(NeuronParams()), {}, 20.0, 1.0))

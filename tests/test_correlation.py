@@ -18,10 +18,10 @@ from ctd.circuits import DepthState, Direction
 from ctd.core import ConnectionKind
 from ctd.correlation import (BinnedTrain, CorrelationParams, classify_by_correlation,
                              signed_xcorr, xcorr)
-from ctd.errors import BinMismatch, HorizonTooShort
+from ctd.errors import BinMismatch
 from ctd.world import SpikeTrain, encode_spikes
 import reference_correlation as ref
-from reference_correlation import bin_spikes, from_kind, normalized_profile
+from reference_correlation import HorizonTooShort, bin_spikes, from_kind, normalized_profile
 
 
 def _bt(counts, sign=1, bin_width=10.0):

@@ -15,12 +15,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ctd.errors import OutOfRange
 from ctd.world import (Approach, Encoding, Pose, Recede, SensorSpec, SpikeTrain,
                        Tangent, Waypoints, default_fan_config, encode_spikes,
                        mirror_sensors, mirror_trajectory, sense_scenario,
                        sensor_rates)
-from fixtures import agent_position
+from fixtures import OutOfRange, agent_position
 from reference_correlation import window
 import reference_sensing
 from reference_sensing import reference_sense
