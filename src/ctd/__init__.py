@@ -8,6 +8,9 @@ directions, params)`, runs once per run over every readout window: it
 thresholds the peak normalised cross-correlation of the window's detector
 pair and the two detectors' rates. `signed_xcorr` is the sign-algebra
 primitive, which that check does not apply.
+
+A bad argument to a library call raises ValueError; a bad scenario, file or
+directory raises a CtdError (`ctd.errors`), on which the CLI exits 2.
 """
 
 from .circuits import (CognitiveReadout, CtdHandles, CtdParams,
@@ -20,8 +23,7 @@ from .core import (CircuitGraph, ConnectionKind, NeuronParams, Synapse, Trace,
                    simulate)
 from .correlation import (BinnedTrain, CorrelationParams,
                           classify_by_correlation, signed_xcorr, xcorr)
-from .errors import (BadArity, BinMismatch, CtdError, DuplicatePort, NegativeWeight,
-                     ParseError, UnknownKey, UnknownNeuron, UnknownPort, ValidationError)
+from .errors import CtdError, ParseError, ValidationError
 from .harness import (RunArtifacts, VariantComparison, VariationMetrics,
                       compare_variants, emit_outputs, pdd_exclusivity_ok,
                       potential_variation, run_scenario, seizure_damped)

@@ -16,7 +16,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import CircuitGraph, ConnectionKind, NeuronParams, Trace
-from .errors import BadArity, NegativeWeight, UnknownNeuron
 
 EXC = ConnectionKind.EXCITATORY
 INH = ConnectionKind.INHIBITORY
@@ -168,7 +167,7 @@ def build_pdd_unit(circuit: CircuitGraph, port_names: Sequence[str],
                    params: CtdParams = CtdParams(), *, index: int) -> PddUnit:
     """Three port-driven detectors with full pairwise lateral inhibition."""
     if len(port_names) != 3:
-        raise BadArity(f"a PDD unit takes exactly 3 ports, got {len(port_names)}")
+        raise ValueError(f"a PDD unit takes exactly 3 ports, got {len(port_names)}")
     det_params = params.detector_neuron()
     ids = tuple(f"pdd{index}.det{j}" for j in range(3))
     for nid, port in zip(ids, port_names):
@@ -185,7 +184,7 @@ def build_pdd_chain(circuit: CircuitGraph, n_channels: int,
                     params: CtdParams = CtdParams()) -> list[PddUnit]:
     """One PDD unit per consecutive sensor triple, left to right."""
     if n_channels <= 0 or n_channels % 3 != 0:
-        raise BadArity(f"sensor count {n_channels} is not a positive multiple of 3")
+        raise ValueError(f"sensor count {n_channels} is not a positive multiple of 3")
     units = []
     for u in range(n_channels // 3):
         ports = tuple(f"sensor{3 * u + j}" for j in range(3))
@@ -203,7 +202,7 @@ def build_ddm_unit(circuit: CircuitGraph, left_id: str, right_id: str,
     """
     for nid in (left_id, right_id):
         if nid not in circuit:
-            raise UnknownNeuron(nid)
+            raise ValueError(f"unknown neuron {nid!r}")
     reg = params.regulatory_neuron()
     assess = params.assessing_neuron()
     g_left = f"ddm{index}.g_left"
@@ -234,10 +233,9 @@ def build_judge_bank(circuit: CircuitGraph, pdd_unit: PddUnit,
     rows = tuple(tuple(float(w) for w in row) for row in weights)
     if len(rows) != 3 or any(len(r) != 3 for r in rows):
         raise ValueError("judge weights must be a 3x3 matrix")
-    for row in rows:
-        for w in row:
-            if w < 0:
-                raise NegativeWeight(f"judge weight {w} < 0")
+    negative = [w for row in rows for w in row if w < 0]
+    if negative:
+        raise ValueError(f"judge weight {negative[0]} must be nonnegative")
     judge_params = params.judge_neuron()
     ids = tuple(f"judge{pdd_unit.index}.{s}" for s in ("n", "m", "f"))
     for nid in ids:

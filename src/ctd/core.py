@@ -31,8 +31,10 @@ the update above bit for bit, + 0.0 giving a sum of two zeros the sign of
 0.0 + row + s, and never -0.0; a -0.0 set by a reset or the floor is written
 back after the final + 0.0. Every other neuron lay below its positive
 threshold and at or above v_floor <= 0, so decay alone can neither fire nor
-clamp it. Rotter & Diesmann (1999) advance linear stretches with the
-closed-form propagator decay**span, which rounds differently.
+clamp it. So a synapse of magnitude 0 is never queued: its +-0.0 could
+change only the sign of a zero, which the + 0.0 settles. Rotter & Diesmann
+(1999) advance linear stretches with the closed-form propagator decay**span,
+which rounds differently.
 
 Neurons that a `known` trace also holds are copied from it, not simulated,
 since a neuron moves only by its own drive and arrivals: their drive is
@@ -53,7 +55,6 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import DuplicatePort, UnknownNeuron, UnknownPort
 from .world import SpikeTrain
 
 
@@ -137,7 +138,7 @@ class CircuitGraph:
         try:
             return self._params[neuron_id]
         except KeyError:
-            raise UnknownNeuron(neuron_id) from None
+            raise ValueError(f"unknown neuron {neuron_id!r}") from None
 
     def role_of(self, neuron_id: str) -> str:
         self.params_of(neuron_id)
@@ -154,16 +155,16 @@ class CircuitGraph:
                     magnitude: float, delay: int = 1) -> Synapse:
         for endpoint in (pre, post):
             if endpoint not in self._params:
-                raise UnknownNeuron(endpoint)
+                raise ValueError(f"unknown neuron {endpoint!r}")
         syn = Synapse(pre, post, kind, magnitude, delay)
         self.synapses.append(syn)
         return syn
 
     def add_input_port(self, name: str, neuron_id: str, weight: float) -> None:
         if name in self.input_ports:
-            raise DuplicatePort(name)
+            raise ValueError(f"duplicate port {name!r}")
         if neuron_id not in self._params:
-            raise UnknownNeuron(neuron_id)
+            raise ValueError(f"unknown neuron {neuron_id!r}")
         self.input_ports[name] = InputPort(neuron_id, weight)
 
 
@@ -210,7 +211,7 @@ def simulate(circuit: CircuitGraph, drive: Mapping[str, SpikeTrain],
     for port, train in drive.items():
         spec = circuit.input_ports.get(port)
         if spec is None:
-            raise UnknownPort(port)
+            raise ValueError(f"unknown port {port!r}")
         if spec.neuron in shared:
             continue
         for s in train.times:
@@ -224,7 +225,8 @@ def simulate(circuit: CircuitGraph, drive: Mapping[str, SpikeTrain],
             if syn.pre not in shared:
                 raise ValueError(f"synapse {syn.pre} -> {syn.post} drives a known neuron")
             continue
-        outgoing[index[syn.pre]].append((syn.delay, index[syn.post], syn.signed_weight))
+        if syn.magnitude:  # a zero delivery changes no potential (module docstring)
+            outgoing[index[syn.pre]].append((syn.delay, index[syn.post], syn.signed_weight))
     for nid in shared:
         for t in known.spikes[nid]:
             for delay, post, weight in outgoing[index[nid]]:

@@ -11,7 +11,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .circuits import DepthState, Direction
-from .errors import BinMismatch
 
 
 @dataclass(frozen=True)
@@ -34,7 +33,7 @@ class BinnedTrain:
 def xcorr(x: BinnedTrain, y: BinnedTrain, w: int) -> int:
     """Product sum of x against y shifted by w bins, zero-padded outside."""
     if x.bin_width != y.bin_width:
-        raise BinMismatch(f"bin widths differ: {x.bin_width} vs {y.bin_width}")
+        raise ValueError(f"bin widths differ: {x.bin_width} vs {y.bin_width}")
     k0 = max(0, -w)
     k1 = min(len(x.counts), len(y.counts) - w)
     if k1 <= k0:

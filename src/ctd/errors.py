@@ -1,34 +1,17 @@
-"""Exception types shared across the package."""
+"""Exception types, and the one rule for what a failure raises.
+
+A bad argument to a library call raises ValueError naming the bad value. A
+bad scenario, file or directory raises a CtdError: ParseError for text that is
+not JSON, ValidationError for content that breaks an invariant (naming the
+field), and CtdError itself for an unreadable or unwritable path. The CLI
+prints a CtdError as one `error:` line and exits 2.
+"""
 
 from __future__ import annotations
 
 
 class CtdError(Exception):
-    """Base class for every error this package raises deliberately."""
-
-
-class UnknownPort(CtdError):
-    """External drive referenced a port the circuit never declared."""
-
-
-class DuplicatePort(CtdError):
-    """A port name was declared twice on the same circuit."""
-
-
-class UnknownNeuron(CtdError):
-    """A neuron id was referenced before being added to the circuit."""
-
-
-class BadArity(CtdError):
-    """Sensor channel count is not divisible by 3."""
-
-
-class NegativeWeight(CtdError):
-    """Judge-bank weight matrices must be nonnegative."""
-
-
-class BinMismatch(CtdError):
-    """Correlation operands were binned with different bin widths."""
+    """A bad scenario, file or directory; the CLI exits 2 on it."""
 
 
 class ParseError(CtdError):
@@ -43,8 +26,4 @@ class ParseError(CtdError):
 
 
 class ValidationError(CtdError):
-    """Scenario content violates an invariant (which one is in the message)."""
-
-
-class UnknownKey(CtdError):
-    """Scenario document contains a key the format does not define."""
+    """Scenario content breaks an invariant or holds an unknown key."""

@@ -17,7 +17,7 @@ from .circuits import (CognitiveReadout, CtdHandles, DepthState, PddUnit,
                        build_ctd, classify, dominant_readout)
 from .core import CircuitGraph, Trace, simulate
 from .correlation import classify_by_correlation
-from .errors import CtdError, UnknownNeuron
+from .errors import CtdError
 from .scenario import Scenario, scenario_to_json
 from .version import __version__
 from .world import SpikeTrain, sense_scenario
@@ -43,7 +43,7 @@ def potential_variation(trace: Trace, monitored: Sequence[str]) -> VariationMetr
     columns = {nid: j for j, nid in enumerate(trace.neuron_ids)}
     for nid in monitored:
         if nid not in columns:
-            raise UnknownNeuron(nid)
+            raise ValueError(f"unknown neuron {nid!r}")
     duration_s = trace.duration / 1000.0
     tv = 0.0
     max_step = 0.0
@@ -91,16 +91,15 @@ def pdd_exclusivity_ok(trace: Trace, units: Sequence[PddUnit],
     return True
 
 
-def seizure_damped(trace: Trace, drive: Sequence[SpikeTrain],
-                   grace_ms: float = SEIZURE_GRACE_MS) -> bool:
-    """True when all circuit firing stops within the grace period after drive ends."""
+def seizure_damped(trace: Trace, drive: Sequence[SpikeTrain]) -> bool:
+    """True when all circuit firing stops within SEIZURE_GRACE_MS after drive ends."""
     last_out = max((times[-1] for times in trace.spikes.values() if times), default=None)
     if last_out is None:
         return True
     last_in = max((t.last for t in drive if t.last is not None), default=None)
     if last_in is None:
         return False
-    return last_out <= last_in + grace_ms
+    return last_out <= last_in + SEIZURE_GRACE_MS
 
 
 # --------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from typing import Any, Iterator
 
 from .circuits import CtdParams, DepthState, Direction
 from .correlation import CorrelationParams
-from .errors import ParseError, UnknownKey, ValidationError
+from .errors import ParseError, ValidationError
 from .world import (Approach, Encoding, Pose, Recede, SensorSpec, Tangent,
                     Trajectory, Waypoints, _number, default_fan_config)
 
@@ -85,7 +85,7 @@ def canonical_trajectory(kind: str, duration_ms: float, speed: float = 0.5,
         return Tangent(closest=(0.0, 1.0 if offset is None else offset),
                        velocity_mps=(speed, 0.0),
                        t_center_ms=duration_ms / 2.0, duration_ms=duration_ms)
-    raise ValidationError(f"trajectory kind {kind!r} has no defaults")
+    raise ValueError(f"trajectory kind {kind!r} has no defaults")
 
 
 @dataclass(frozen=True)
@@ -122,6 +122,13 @@ class Scenario:
             for key, name in keys.items():
                 object.__setattr__(self, name,
                                    _number(getattr(self, name), f"{section}.{key}"))
+        try:
+            object.__setattr__(self, "encoding", Encoding(self.encoding))
+        except ValueError:
+            raise ValidationError(f"unknown encoding {self.encoding!r}") from None
+        if not isinstance(self.trajectory, Trajectory):
+            raise ValidationError(f"trajectory must be an Approach, Recede, Tangent or "
+                                  f"Waypoints, got {self.trajectory!r}")
         trajectory = _trajectory_to_json(self.trajectory)
         del trajectory["kind"]
         for key, value in (("robot.x", self.robot_x), ("robot.y", self.robot_y),
@@ -141,6 +148,9 @@ class Scenario:
         if speed is not None and not 0.0 < speed < math.inf:
             raise ValidationError(
                 f"trajectory.speed_mps must be positive and finite, got {speed!r}")
+        for i, sensor in enumerate(self.sensors):
+            if not isinstance(sensor, SensorSpec):
+                raise ValidationError(f"sensors[{i}] must be a SensorSpec, got {sensor!r}")
         if len(self.sensors) == 0 or len(self.sensors) % 3 != 0:
             raise ValidationError(
                 f"sensor count {len(self.sensors)} must be divisible by 3")
@@ -155,17 +165,20 @@ class Scenario:
             raise ValidationError("expect must be an object")
         for key, value in (self.expect or {}).items():
             if key not in _EXPECT_VALUES:
-                raise UnknownKey(f"expect: unknown key {key!r}")
+                raise ValidationError(f"expect: unknown key {key!r}")
             if value not in _EXPECT_VALUES[key]:
                 raise ValidationError(f"expect.{key} {value!r} invalid")
         if self.variant not in ("ddm", "weights"):
             raise ValidationError(f"unknown circuit variant {self.variant!r}")
         if abs(self.trajectory.duration_ms - self.duration_ms) > 1e-9:
             raise ValidationError("trajectory duration must match scenario duration")
+        if not isinstance(self.overrides, dict):
+            raise ValidationError(f"overrides must be an object, got {self.overrides!r}")
+        overrides = {}
         for key, value in self.overrides.items():
             if key not in OVERRIDE_KEYS:
-                raise UnknownKey(f"override {key!r}")
-            value = _number(value, f"overrides.{key}")
+                raise ValidationError(f"overrides: unknown key {key!r}")
+            overrides[key] = value = _number(value, f"overrides.{key}")
             problem = ("finite" if not math.isfinite(value)
                        else "an integer" if key in _INT_OVERRIDES and value != int(value)
                        else "positive" if key in _POSITIVE_OVERRIDES and value <= 0
@@ -173,6 +186,7 @@ class Scenario:
                        else None)
             if problem:
                 raise ValidationError(f"overrides.{key} must be {problem}, got {value!r}")
+        object.__setattr__(self, "overrides", overrides)
         params, corr = self.ctd_params(), self.correlation_params()
         if params.window_ms > self.duration_ms:
             raise ValidationError(
@@ -222,7 +236,7 @@ class Scenario:
 def _require_keys(obj: dict, allowed: set[str], where: str) -> None:
     for key in obj:
         if key not in allowed:
-            raise UnknownKey(f"{where}: unknown key {key!r}")
+            raise ValidationError(f"{where}: unknown key {key!r}")
 
 
 def _point(value: Any, where: str) -> tuple[float, float]:
@@ -287,9 +301,8 @@ def _parse_sensors(obj: Any) -> tuple[SensorSpec, ...]:
         _require_keys(entry, _SENSOR_KEYS, where)
         if "mount_deg" not in entry:
             raise ValidationError(f"{where} is missing mount_deg")
-        values = {key: _number(value, f"{where}.{key}") for key, value in entry.items()}
         try:
-            sensors.append(SensorSpec(**values))
+            sensors.append(SensorSpec(**entry))
         except ValidationError as exc:
             raise ValidationError(f"{where}.{exc}") from None
     return tuple(sensors)
@@ -329,20 +342,9 @@ def parse_scenario(text: str) -> Scenario:
 
     # Passed on as written; Scenario checks them.
     given.update((name, doc[key]) for key, name in _PLAIN_KEYS.items() if key in doc)
-    if "expect" in doc:
-        given["expect"] = doc["expect"]
-    if "encoding" in doc:
-        try:
-            given["encoding"] = Encoding(doc["encoding"])
-        except ValueError:
-            raise ValidationError(f"unknown encoding {doc['encoding']!r}") from None
+    given.update((key, doc[key]) for key in ("encoding", "overrides", "expect") if key in doc)
     if "sensors" in doc:
         given["sensors"] = _parse_sensors(doc["sensors"])
-    if "overrides" in doc:
-        if not isinstance(doc["overrides"], dict):
-            raise ValidationError("overrides must be an object")
-        given["overrides"] = {key: _number(value, f"overrides.{key}")
-                              for key, value in doc["overrides"].items()}
     given["trajectory"] = _parse_trajectory(
         doc.get("trajectory", {"kind": "approach"}),
         given.get("duration_ms", Scenario.duration_ms))

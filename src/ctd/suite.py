@@ -56,7 +56,7 @@ def mirror_scenario(s: Scenario) -> Scenario:
     return dataclasses.replace(
         s, name=name, sensors=mirror_sensors(s.sensors),
         trajectory=mirror_trajectory(s.pose(), s.trajectory),
-        overrides=dict(s.overrides), expect=expect)
+        expect=expect)
 
 
 def scripted_suite(variant: str = "ddm") -> list[Scenario]:

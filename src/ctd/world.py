@@ -221,10 +221,11 @@ def sensor_rates(sensor: SensorSpec,
     sm = math.sin(sensor.mount_angle)
     cm = math.cos(sensor.mount_angle)
     range_m = sensor.range_m
-    # At d == 0 the cosine is 0/0; the agent counts as inside the cone.
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # At d == 0 the cosine is 0/0; the agent counts as inside the cone. Past
+    # a subnormal range d / range_m overflows, in cells np.where drops.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         seen = ((u * sm + v * cm) / d >= math.cos(sensor.cone_half_angle)) | (d == 0.0)
-    return np.where(seen & (d <= range_m), sensor.r_max_hz * (1.0 - d / range_m), 0.0)
+        return np.where(seen & (d <= range_m), sensor.r_max_hz * (1.0 - d / range_m), 0.0)
 
 
 class Encoding(Enum):

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 from ctd.circuits import DepthState, Direction
 from ctd.core import ConnectionKind
 from ctd.correlation import BinnedTrain, CorrelationParams, xcorr
-from ctd.errors import BinMismatch, CtdError
+from ctd.errors import CtdError
 from ctd.world import SpikeTrain
 
 
@@ -67,7 +67,7 @@ def normalized_profile(x: BinnedTrain, y: BinnedTrain,
     """Correlation per lag over the geometric mean of the zero-lag
     autocorrelations; all-zero and degenerate when either side is."""
     if x.bin_width != y.bin_width:
-        raise BinMismatch(f"bin widths differ: {x.bin_width} vs {y.bin_width}")
+        raise ValueError(f"bin widths differ: {x.bin_width} vs {y.bin_width}")
     lag_tuple = tuple(int(w) for w in lags)
     x0 = xcorr(x, x, 0)
     y0 = xcorr(y, y, 0)

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from ctd.core import CircuitGraph, NeuronParams
-from ctd.errors import UnknownPort
 from ctd.world import SpikeTrain
 
 
@@ -45,7 +44,7 @@ def reference_simulate(circuit: CircuitGraph, drive: Mapping[str, SpikeTrain],
     for port, train in drive.items():
         spec = circuit.input_ports.get(port)
         if spec is None:
-            raise UnknownPort(port)
+            raise ValueError(f"unknown port {port!r}")
         for s in train.times:
             k = int(math.floor(s / dt + 1e-9))
             pending.setdefault(k, {}).setdefault(spec.neuron, []).append(spec.weight)

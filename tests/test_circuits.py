@@ -15,7 +15,6 @@ from ctd.circuits import (CtdParams, DEFAULT_JUDGE_MATRIX, DepthState, Direction
                           build_pdd_chain, build_pdd_unit, classify,
                           dominant_readout, read_depth, read_direction)
 from ctd.core import CircuitGraph, ConnectionKind, Trace, simulate
-from ctd.errors import BadArity, DuplicatePort, NegativeWeight, UnknownNeuron
 from ctd.harness import pdd_exclusivity_ok
 from ctd.scenario import Scenario
 from ctd.world import (SensorSpec, SpikeTrain, Tangent, Waypoints, encode_spikes,
@@ -45,7 +44,7 @@ def test_pdd_unit_structure():
     assert len(circuit.synapses) == 6
     assert all(s.kind is ConnectionKind.INHIBITORY for s in circuit.synapses)
     assert set(circuit.input_ports) == {"s0", "s1", "s2"}
-    with pytest.raises(DuplicatePort):
+    with pytest.raises(ValueError):
         build_pdd_unit(circuit, ("s0", "x", "y"), P, index=1)
 
 
@@ -73,9 +72,9 @@ def test_pdd_chain_arities():
     assert len(units) == 2
     assert units[0].port_names == ("sensor0", "sensor1", "sensor2")
     assert units[1].port_names == ("sensor3", "sensor4", "sensor5")
-    with pytest.raises(BadArity):
+    with pytest.raises(ValueError):
         build_pdd_chain(CircuitGraph(), 4, P)
-    with pytest.raises(BadArity):
+    with pytest.raises(ValueError):
         build_pdd_chain(CircuitGraph(), 0, P)
 
 
@@ -99,7 +98,7 @@ def test_ddm_structure():
     build_ddm_unit(circuit, "left", "right", P, index=0)
     assert len(circuit.neuron_ids) - before_n == 4
     assert len(circuit.synapses) - before_s == 8
-    with pytest.raises(UnknownNeuron):
+    with pytest.raises(ValueError):
         build_ddm_unit(circuit, "left", "ghost", P, index=1)
 
 
@@ -150,7 +149,7 @@ def test_build_ctd_structural_counts():
                       if circuit.role_of(s.post) == "judge"]
     assert len(depth_synapses) == 9
     assert all(s.kind is ConnectionKind.EXCITATORY for s in depth_synapses)
-    with pytest.raises(BadArity):
+    with pytest.raises(ValueError):
         build_ctd(4, "ddm", P)
     with pytest.raises(ValueError):
         build_ctd(6, "other", P)
@@ -183,7 +182,7 @@ def test_judge_bank_suprathreshold_diagonal_relays_its_detector():
 def test_judge_bank_rejects_negative_weights():
     circuit = CircuitGraph()
     unit = build_pdd_unit(circuit, ("s0", "s1", "s2"), P, index=0)
-    with pytest.raises(NegativeWeight):
+    with pytest.raises(ValueError):
         build_judge_bank(circuit, unit, [[0.0, 0.0, -0.1]] + [[0.0] * 3] * 2, P)
 
 

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from ctd.circuits import CtdParams, build_ctd
 from ctd.core import CircuitGraph, ConnectionKind, NeuronParams, Synapse, simulate
-from ctd.errors import UnknownPort
 from ctd.world import Encoding, SpikeTrain, encode_spikes
 from reference_kernel import reference_simulate
 
@@ -141,9 +140,9 @@ def test_inhibition_subtracts_from_next_potential():
 
 def test_unknown_port_rejected():
     c = _relay_pair(1.0, EXC)
-    with pytest.raises(UnknownPort):
+    with pytest.raises(ValueError):
         simulate(c, {"nope": SpikeTrain(())}, 10.0, 1.0)
-    with pytest.raises(UnknownPort):
+    with pytest.raises(ValueError):
         simulate(c, {"nope": SpikeTrain((1.0,))}, 10.0, 1.0)
 
 

@@ -18,7 +18,6 @@ from ctd.circuits import DepthState, Direction
 from ctd.core import ConnectionKind
 from ctd.correlation import (BinnedTrain, CorrelationParams, classify_by_correlation,
                              signed_xcorr, xcorr)
-from ctd.errors import BinMismatch
 from ctd.world import SpikeTrain, encode_spikes
 import reference_correlation as ref
 from reference_correlation import HorizonTooShort, bin_spikes, from_kind, normalized_profile
@@ -54,7 +53,7 @@ def test_xcorr_hand_examples():
 
 
 def test_xcorr_rejects_bin_mismatch():
-    with pytest.raises(BinMismatch):
+    with pytest.raises(ValueError):
         xcorr(_bt([1], bin_width=10.0), _bt([1], bin_width=5.0), 0)
 
 
@@ -126,7 +125,7 @@ def test_normalized_profile_self_scale_and_degenerate():
 
 
 def test_normalized_profile_rejects_bin_mismatch_even_when_degenerate():
-    with pytest.raises(BinMismatch):
+    with pytest.raises(ValueError):
         normalized_profile(_bt([0, 0]), _bt([1, 1], bin_width=5.0), [0])
 
 

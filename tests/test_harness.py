@@ -18,14 +18,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctd.circuits import DepthState, Direction
+from ctd.circuits import CtdParams, DepthState, Direction
 from ctd.cli import main as cli_main
 from ctd.core import Trace
+from ctd.correlation import CorrelationParams
 from ctd import harness
-from ctd.errors import UnknownNeuron
 from ctd.harness import (_BLOCK_CELLS, compare_variants, emit_outputs,
                          potential_variation, run_scenario)
-from ctd.scenario import Scenario, emit_scenario
+from ctd.errors import CtdError
+from ctd.scenario import OVERRIDE_KEYS, Scenario, emit_scenario, parse_scenario
 from ctd.suite import canonical_scenario, scripted_scenario
 from ctd.world import Encoding, SensorSpec, Tangent
 from reference_emit import potentials_csv
@@ -55,7 +56,7 @@ def test_variation_metrics_hand_example():
 
 def test_variation_metrics_unknown_and_degenerate():
     trace = _flat_trace({"n": (0.0, 0.0)})
-    with pytest.raises(UnknownNeuron):
+    with pytest.raises(ValueError):
         potential_variation(trace, ["ghost"])
     m = potential_variation(trace, [])
     assert m.degenerate
@@ -498,6 +499,76 @@ def test_cli_rejects_broken_scenarios(tmp_path, capsys, doc, field):
     assert cli_main(["run", str(scenario_file), "--out", str(tmp_path / "o")]) == 2
     assert field in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+# The scenario fuzz: a valid document with up to three of its keys, at any
+# depth, replaced by an extreme number or a value of the wrong type, or
+# dropped. The duration stays at most 500 ms, so that a document that is
+# accepted runs quickly.
+_EXTREMES = [0, -1, 3, 1e16, 1e300, -1e300, 5e-324, True, "x", None]
+_DURATIONS = [0, 5e-324, 125, 500, -500, True, "x"]
+_DROP = "drop the key"
+_OVERRIDE_DEFAULTS = {**dataclasses.asdict(CtdParams()),
+                      **{"corr_" + k: v for k, v in dataclasses.asdict(CorrelationParams()).items()}}
+_TRAJECTORY_OBJECTS = [
+    {"kind": "approach", "from": [-1.5, 2.0], "to": [-0.1, 0.5], "speed_mps": 0.5},
+    {"kind": "recede", "from": [0.1, 0.5], "to": [1.5, 2.0], "speed_mps": 0.5},
+    {"kind": "tangent", "closest": [0.0, 1.0], "velocity_mps": [0.5, 0.0], "t_center_ms": 250},
+    {"kind": "waypoints", "points": [[0, [-1.0, 1.0]], [250, [0.0, 0.5]], [500, [1.0, 1.0]]]}]
+_VALID_DOCS = st.fixed_dictionaries({
+    "name": st.just("fuzz"),
+    "time": st.sampled_from([{"dt_ms": 1, "duration_ms": 500}, {"dt_ms": 0.5, "duration_ms": 250}]),
+    "seed": st.integers(0, 3),
+    "encoding": st.sampled_from(["deterministic", "poisson"]),
+    "robot": st.just({"x": 0.0, "y": 0.0, "heading_deg": 90.0}),
+    "sensors": st.sampled_from([{"fan": 6}, [
+        {"mount_deg": -30, "cone_half_deg": 15, "range_m": 2, "r_max_hz": 200},
+        {"mount_deg": 0}, {"mount_deg": 30}]]),
+    "trajectory": st.sampled_from(_TRAJECTORY_OBJECTS),
+    "circuit": st.sampled_from(["ddm", "weights"]),
+    "overrides": st.lists(st.sampled_from(sorted(_OVERRIDE_DEFAULTS)), max_size=3,
+                          unique=True).map(lambda keys: {k: _OVERRIDE_DEFAULTS[k] for k in keys}),
+    "expect": st.just({"depth": "N", "direction": "left_to_right"}),
+}).map(lambda doc: json.loads(json.dumps(doc)))  # a fresh copy to change
+
+
+def _key_paths(value, path=()):
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        yield (*path, key)
+        yield from _key_paths(item, (*path, key))
+
+
+@st.composite
+def _extreme_documents(draw):
+    doc = draw(_VALID_DOCS)
+    paths = draw(st.lists(st.sampled_from(list(_key_paths(doc))), max_size=3, unique=True))
+    for path in sorted(paths, key=len, reverse=True):
+        holder = functools.reduce(lambda obj, key: obj[key], path[:-1], doc)
+        if path[0] == "time":
+            holder[path[-1]] = draw(st.sampled_from(_DURATIONS))
+            continue
+        droppable = [_DROP] if isinstance(holder, dict) else []
+        value = draw(st.sampled_from(_EXTREMES + droppable))
+        if value == _DROP:
+            del holder[path[-1]]
+        else:
+            holder[path[-1]] = value
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_extreme_documents())
+def test_extreme_documents_are_rejected_or_run_cleanly(doc):
+    # A document either fails to parse with a CtdError, which the CLI turns
+    # into exit 2, or runs and writes its files; nothing else may escape.
+    try:
+        scenario = parse_scenario(json.dumps(doc))
+    except CtdError:
+        return
+    with tempfile.TemporaryDirectory() as out:
+        emit_outputs(run_scenario(scenario), out)
 
 
 @pytest.mark.parametrize("command", ["run", "suite"])

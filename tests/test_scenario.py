@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import json
 import random
 from pathlib import Path
@@ -9,7 +10,8 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from ctd.errors import CtdError, ParseError, UnknownKey, ValidationError
+from ctd import errors
+from ctd.errors import CtdError, ParseError, ValidationError
 from ctd.scenario import (OVERRIDE_KEYS, Scenario, canonical_trajectory,
                           default_fan_config, emit_scenario, parse_scenario)
 from ctd.suite import scripted_suite, write_suite
@@ -168,13 +170,13 @@ def test_write_suite_reproduces_the_committed_scenarios(tmp_path):
 
 
 def test_unknown_keys_are_rejected():
-    with pytest.raises(UnknownKey):
+    with pytest.raises(ValidationError):
         parse_scenario('{"bogus": 1}')
-    with pytest.raises(UnknownKey):
+    with pytest.raises(ValidationError):
         parse_scenario('{"time": {"dt": 1.0}}')
-    with pytest.raises(UnknownKey):
+    with pytest.raises(ValidationError):
         parse_scenario('{"trajectory": {"kind": "tangent", "speed": 1}}')
-    with pytest.raises(UnknownKey):
+    with pytest.raises(ValidationError):
         parse_scenario('{"overrides": {"not_a_knob": 1.0}}')
 
 
@@ -206,7 +208,7 @@ def test_type_errors_are_validation_errors():
         '[1, 2, 3]',
     ]
     for doc in bad_docs:
-        with pytest.raises((ValidationError, UnknownKey)):
+        with pytest.raises(ValidationError):
             parse_scenario(doc)
 
 
@@ -219,6 +221,18 @@ def test_parser_total_over_junk_inputs():
             parse_scenario(junk)
         except CtdError:
             pass  # structured failure is the contract; anything else escapes
+
+
+def test_every_error_class_is_raised_in_the_package():
+    # A class whose last raise site goes must go with it.
+    classes = {name for name, obj in vars(errors).items()
+               if isinstance(obj, type) and obj.__module__ == errors.__name__}
+    raised = set()
+    for path in Path(errors.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+                raised.add(getattr(node.exc.func, "id", None))
+    assert classes and classes <= raised, classes - raised
 
 
 def test_overrides_reach_the_parameter_sets():
@@ -256,7 +270,7 @@ def test_scenario_invariants_checked_on_construction():
         Scenario(duration_ms=-1.0)
     with pytest.raises(ValidationError):
         Scenario(sensors=default_fan_config(6)[:4])
-    with pytest.raises(UnknownKey):
+    with pytest.raises(ValidationError):
         Scenario(overrides={"mystery": 1.0})
     with pytest.raises(ValidationError, match="trajectory.speed_mps"):
         Scenario(trajectory=canonical_trajectory("approach", 5000.0, 0.0))
@@ -278,6 +292,18 @@ def test_scenario_invariants_checked_on_construction():
                           SensorSpec(30.0)))
     with pytest.raises(ValidationError, match="mount_deg must be a number"):
         SensorSpec("0")
+    # Field types are checked where they are held, not left to fail later in
+    # sensing or emission.
+    with pytest.raises(ValidationError, match=r"sensors\[0\] must be a SensorSpec"):
+        Scenario(sensors=("a", "b", "c"))
+    with pytest.raises(ValidationError, match="trajectory must be"):
+        Scenario(trajectory="x")
+    with pytest.raises(ValidationError, match="unknown encoding 'fast'"):
+        Scenario(encoding="fast")
+    with pytest.raises(ValidationError, match="overrides must be an object"):
+        Scenario(overrides=None)
+    assert Scenario(encoding="poisson") == Scenario(encoding=Encoding.POISSON)
+    assert type(Scenario(overrides={"theta_active": 3}).overrides["theta_active"]) is float
 
 
 @pytest.mark.parametrize("overrides, field", [
