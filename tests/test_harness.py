@@ -26,7 +26,7 @@ from ctd import harness
 from ctd.harness import (_BLOCK_CELLS, compare_variants, emit_outputs,
                          potential_variation, run_scenario)
 from ctd.errors import CtdError
-from ctd.scenario import OVERRIDE_KEYS, Scenario, emit_scenario, parse_scenario
+from ctd.scenario import Scenario, emit_scenario, parse_scenario
 from ctd.suite import canonical_scenario, scripted_scenario
 from ctd.world import Encoding, SensorSpec, Tangent
 from reference_emit import potentials_csv
