@@ -250,54 +250,59 @@ def simulate(circuit: CircuitGraph, drive: Mapping[str, SpikeTrain],
     buf[1:] = [math.exp(-dt / p.tau_m) for p in params]
     signed: list[tuple[int, int]] = []  # event cells set to -0.0 by reset or floor
     hot: list[int] = []  # neurons the previous step left at or above threshold
+    multiply, accumulate = np.multiply, np.multiply.accumulate
+    heappop, heappush, fsum, copysign = heapq.heappop, heapq.heappush, math.fsum, math.copysign
     v = buf[0]  # the potentials after the previous step
     k = 0
     while k < n_steps:
         # The next event step, or the last step if none is left.
-        event = k if hot else min(due[0], n_steps - 1) if due else n_steps - 1
+        event = k if hot else due[0] if due and due[0] < n_steps else n_steps - 1
         # One numpy call decays the stretch from v.
         if event == k:
             row = buf[k + 1]
-            v = np.multiply(v, row, out=row)
+            v = multiply(v, row, out=row)
         else:
             rows = buf[k:event + 2]
-            v = np.multiply.accumulate(rows, axis=0, out=rows)[-1]
+            v = accumulate(rows, axis=0, out=rows)[-1]
         k = event + 1
 
-        arrivals: dict[int, list[float]] = {}
         if due and due[0] == event:
-            heapq.heappop(due)
+            heappop(due)
             arrivals = pending.pop(event)
+        else:
+            arrivals = {}
         t = event * dt
         touched = arrivals.keys() | hot if hot else arrivals
         hot = []
-        fired = []
         for i in touched:
             inputs = arrivals.get(i)
             x = v.item(i)
             if inputs:  # + 0.0 gives a zero the sign the scalar update gives it
-                x = x + (inputs[0] if len(inputs) == 1 else math.fsum(inputs)) + 0.0
+                x = x + (inputs[0] if len(inputs) == 1 else fsum(inputs)) + 0.0
             if x < v_floor[i]:
                 x = v_floor[i]
             if x >= v_threshold[i]:
                 if t >= refractory_until[i]:
                     x = v_reset[i]
                     refractory_until[i] = t + refractory[i]
-                    fired.append(i)
+                    spikes[i].append(t)
+                    # Every delay is at least 1, so no delivery lands in
+                    # `arrivals`.
+                    for delay, post, weight in outgoing[i]:
+                        slot = pending.get(event + delay)
+                        if slot is None:
+                            slot = pending[event + delay] = {}
+                            heappush(due, event + delay)
+                        inbox = slot.get(post)
+                        if inbox is None:
+                            slot[post] = [weight]
+                        else:
+                            inbox.append(weight)
                 else:
                     hot.append(i)
             v[i] = x
-            if not x and math.copysign(1.0, x) < 0.0:
+            if not x and copysign(1.0, x) < 0.0:
                 signed.append((event, i))
-
-        for i in fired:
-            spikes[i].append(t)
-            for delay, post, weight in outgoing[i]:
-                slot = pending.get(event + delay)
-                if slot is None:
-                    slot = pending[event + delay] = {}
-                    heapq.heappush(due, event + delay)
-                slot.setdefault(post, []).append(weight)
 
     potentials = buf[1:]
     potentials += 0.0

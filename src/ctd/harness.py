@@ -7,8 +7,9 @@ import json
 import re
 from dataclasses import dataclass
 from itertools import chain
+from operator import itemgetter
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 import orjson
@@ -239,9 +240,11 @@ def _write_csv(path: Path, header: Sequence[str], chunks: Iterable[bytes]) -> Pa
 
     Every line joins its fields by commas and ends in CRLF. `_csv_lines` makes
     a chunk of a row of fields, each a str or a value whose str is written;
-    `_potential_chunks` makes one per row block of floats, each written as
-    its repr by orjson and the layout translations the block's magnitudes
-    call for. The bytes are those of csv's default dialect as long as no
+    `_potential_chunks` and `_spike_chunks` make one per block of floats,
+    each written as its repr by `_float_text`, that is by orjson and the
+    layout translations the block's magnitudes call for, and `_spike_chunks`
+    appends the neuron's id and role to each time. The bytes are those of
+    csv's default dialect as long as no
     field holds a comma, a quote or a line break and every number is a
     Python float, whose str is its shortest round-trip repr. The trace files
     hold only such floats and the neuron ids, roles and enum values made by
@@ -268,15 +271,35 @@ def _fifth_place(match: re.Match) -> bytes:
     return first + b"." + rest + b"e-05" if rest else first + b"e-05"
 
 
-def _potential_chunks(values: np.ndarray, dt: float) -> Iterator[bytes]:
-    """The lines `(k * dt, *values[k])` of each row block, as one chunk.
+def _float_text(block: np.ndarray) -> bytes:
+    """The floats of a C-contiguous 1-D or 2-D block, each written as its repr.
 
-    A block holds about `_BLOCK_CELLS` cells and is one `orjson.dumps`. The
-    block's magnitudes pick which of the patterns above it needs to lay its
-    digits out as repr does. Cells from 1e16 up, NaN and the infinities are
-    dumped as NaN, which orjson writes as null, and take their repr in its
-    place.
+    The text is orjson's without the outer brackets: a row's fields joined by
+    commas, and the rows of a 2-D block by `],[`. The block is one
+    `orjson.dumps`, and its magnitudes pick which of the patterns above it
+    needs to lay its digits out as repr does. Cells from 1e16 up, NaN and the
+    infinities are overwritten with NaN, which orjson writes as null, and take
+    their repr in its place.
     """
+    a = np.abs(block)
+    wide = ~(a < 1e16)  # from 1e16 up, NaN and the infinities
+    reprs = None
+    if wide.any():
+        reprs = [repr(x).encode() for x in block[wide].tolist()]
+        block[wide] = np.nan
+    text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)[block.ndim:-block.ndim]
+    if ((a >= 1e-5) & (a < 1e-4)).any():
+        text = _FIFTH_PLACE.sub(_fifth_place, text)
+    if ((a >= 1e-9) & (a < 1e-5)).any():
+        text = _ONE_DIGIT_DOWN.sub(b"e-0", text)
+    if reprs:
+        text = b"".join(chain.from_iterable(zip(text.split(b"null"), [*reprs, b""])))
+    return text
+
+
+def _potential_chunks(values: np.ndarray, dt: float) -> Iterator[bytes]:
+    """The lines `(k * dt, *values[k])` of each row block of about
+    `_BLOCK_CELLS` cells, as one chunk."""
     n, m = values.shape
     step = max(1, _BLOCK_CELLS // (m + 1))
     for s in range(0, n, step):
@@ -285,20 +308,28 @@ def _potential_chunks(values: np.ndarray, dt: float) -> Iterator[bytes]:
         # int k to float64 is exact below 2**53, so each time is k * dt's bits.
         block[:, 0] = np.arange(s, s + len(block)) * dt
         block[:, 1:] = values[s:s + step]
-        a = np.abs(block)
-        wide = ~(a < 1e16)  # from 1e16 up, NaN and the infinities
-        reprs = None
-        if wide.any():
-            reprs = [repr(x).encode() for x in block[wide].tolist()]
-            block[wide] = np.nan
-        text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2]
-        if ((a >= 1e-5) & (a < 1e-4)).any():
-            text = _FIFTH_PLACE.sub(_fifth_place, text)
-        if ((a >= 1e-9) & (a < 1e-5)).any():
-            text = _ONE_DIGIT_DOWN.sub(b"e-0", text)
-        if reprs:
-            text = b"".join(chain.from_iterable(zip(text.split(b"null"), [*reprs, b""])))
-        yield b"\r\n".join([*text.split(b"],["), b""])
+        yield b"\r\n".join([*_float_text(block).split(b"],["), b""])
+
+
+def _spike_chunks(spikes: Mapping[str, Sequence[float]],
+                  role_of: Callable[[str], str]) -> Iterator[bytes]:
+    """The lines `(t, id, role_of(id))` of every spike, ordered by time and
+    then by id, in chunks of `_BLOCK_CELLS` lines.
+
+    The times of a chunk are one `_float_text` block; each neuron's
+    `,id,role` line ending is made once.
+    """
+    trains = sorted(((nid, ts) for nid, ts in spikes.items() if ts), key=itemgetter(0))
+    counts = [len(ts) for _, ts in trains]
+    times = np.fromiter(chain.from_iterable(ts for _, ts in trains), np.float64, sum(counts))
+    ranks = np.repeat(np.arange(len(trains)), counts)  # the id's place in id order
+    order = np.lexsort((ranks, times))
+    ends = [f",{nid},{role_of(nid)}\r\n".encode() for nid, _ in trains]
+    for s in range(0, len(order), _BLOCK_CELLS):
+        rows = order[s:s + _BLOCK_CELLS]
+        fields = _float_text(times[rows]).split(b",")
+        yield b"".join(chain.from_iterable(zip(fields, map(ends.__getitem__,
+                                                           ranks[rows].tolist()))))
 
 
 def write_json(path: Path, doc: Any) -> Path:
@@ -316,9 +347,7 @@ def emit_outputs(artifacts: RunArtifacts, out_dir: str | Path) -> list[Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     trace = artifacts.trace
-    role_of = artifacts.circuit.role_of
     dominant = artifacts.dominant
-    spikes = sorted((t, nid) for nid, times in trace.spikes.items() for t in times)
     summary = {
         "provenance": artifacts.provenance,
         "metrics": dataclasses.asdict(artifacts.metrics),
@@ -330,12 +359,12 @@ def emit_outputs(artifacts: RunArtifacts, out_dir: str | Path) -> list[Path]:
         },
         "assertions": artifacts.assertions,
         "n_windows": len(artifacts.readouts),
-        "total_spikes": len(spikes),
+        "total_spikes": sum(map(len, trace.spikes.values())),
     }
     written: list[Path] = []
     try:
         written.append(_write_csv(out / "spikes.csv", ("time_ms", "neuron_id", "neuron_role"),
-                                  _csv_lines((t, nid, role_of(nid)) for t, nid in spikes)))
+                                  _spike_chunks(trace.spikes, artifacts.circuit.role_of)))
         written.append(_write_csv(out / "potentials.csv", ("time_ms", *trace.neuron_ids),
                                   _potential_chunks(trace.potentials, trace.dt)))
         written.append(_write_csv(

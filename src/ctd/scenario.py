@@ -148,6 +148,10 @@ class Scenario:
         if speed is not None and not 0.0 < speed < math.inf:
             raise ValidationError(
                 f"trajectory.speed_mps must be positive and finite, got {speed!r}")
+        # A tuple, as the parser makes, so a scenario equals its parsed file.
+        if not isinstance(self.sensors, (list, tuple)):
+            raise ValidationError(f"sensors must be a list of SensorSpec, got {self.sensors!r}")
+        object.__setattr__(self, "sensors", tuple(self.sensors))
         for i, sensor in enumerate(self.sensors):
             if not isinstance(sensor, SensorSpec):
                 raise ValidationError(f"sensors[{i}] must be a SensorSpec, got {sensor!r}")

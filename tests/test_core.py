@@ -472,7 +472,9 @@ def test_known_detectors_give_the_trace_of_a_full_run(case):
     ddm, _ = build_ctd(n_sensors, "ddm", params)
     weights, _ = build_ctd(n_sensors, "weights", params)
     ddm_trace = simulate(ddm, drive, duration, dt)
-    full = simulate(weights, drive, duration, dt)
+    # The full run is held to the reference kernel, so a fault in code both
+    # paths share cannot pass as agreement.
+    full = _assert_matches_reference(weights, drive, duration, dt)
     shared = simulate(weights, drive, duration, dt, known=ddm_trace)
     assert list(shared.spikes.items()) == list(full.spikes.items())
     assert shared.potentials.tobytes() == full.potentials.tobytes()

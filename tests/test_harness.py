@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from ctd.circuits import CtdParams, DepthState, Direction
 from ctd.cli import main as cli_main
-from ctd.core import Trace
+from ctd.core import CircuitGraph, Trace
 from ctd.correlation import CorrelationParams
 from ctd import harness
 from ctd.harness import (_BLOCK_CELLS, compare_variants, emit_outputs,
@@ -29,7 +29,7 @@ from ctd.errors import CtdError
 from ctd.scenario import Scenario, emit_scenario, parse_scenario
 from ctd.suite import canonical_scenario, scripted_scenario
 from ctd.world import Encoding, SensorSpec, Tangent
-from reference_emit import potentials_csv
+from reference_emit import potentials_csv, spikes_csv
 
 
 def _flat_trace(samples: dict[str, tuple[float, ...]], dt=1.0) -> Trace:
@@ -395,6 +395,64 @@ def test_a_potentials_write_peaks_at_a_few_blocks(tmp_path):
     # The file is several times the bound, and the write holds a few blocks.
     assert path.stat().st_size > 5_000_000
     assert peak < 1_000_000
+
+
+# Steps times these put spike times below 1e-9, in the layouts orjson writes
+# otherwise in [1e-9, 1e-4), across 1e16 and far above it.
+_SPIKE_DTS = (1.0, 0.1, 0.3, 1e-10, 1e-9, 2.5e-9, 1e-6, 3e-6, 1e-5, 3e-5, 1e-4,
+              1e15, 1e16, 3e17, 1e300)
+
+
+@st.composite
+def _spike_traces(draw):
+    ids = draw(st.lists(st.text("ab.019", min_size=1, max_size=5), min_size=1, max_size=8,
+                        unique=True))
+    roles = {nid: draw(st.sampled_from(["", "detector", "judge"])) for nid in ids}
+    # Trains left out stay empty, and about as many steps as spikes are
+    # shared out, so many neurons fire at one time. Totals straddle the
+    # block of lines.
+    firing = draw(st.lists(st.sampled_from(ids), unique=True))
+    total = draw(st.sampled_from([1, 7, _BLOCK_CELLS - 1, _BLOCK_CELLS, _BLOCK_CELLS + 1,
+                                  2 * _BLOCK_CELLS + 5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dt = draw(st.sampled_from(_SPIKE_DTS))
+    spikes = {nid: () for nid in ids}
+    for nid in firing:
+        steps = np.unique(rng.integers(0, total, total // len(firing) + 1))
+        spikes[nid] = tuple((steps * dt).tolist())
+    trace = Trace(dt=dt, duration=dt, spikes=spikes, potentials=np.zeros((1, len(ids))))
+    return trace, roles
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_spike_traces())
+def test_spikes_csv_matches_the_per_row_reference_writer(case):
+    trace, roles = case
+    circuit = CircuitGraph()
+    for nid, role in roles.items():
+        circuit.add_neuron(nid, role=role)
+    with tempfile.TemporaryDirectory() as out:
+        emit_outputs(dataclasses.replace(_silent_run(), trace=trace, circuit=circuit), out)
+        assert (Path(out) / "spikes.csv").read_bytes() == spikes_csv(trace, circuit.role_of)
+
+
+def test_a_spikes_write_holds_a_few_words_per_spike(tmp_path):
+    rng = np.random.default_rng(0)
+    spikes = {f"pdd{j // 3}.det{j % 3}": tuple((np.unique(rng.integers(0, 10**6, 5000)) * 0.5)
+                                               .tolist()) for j in range(30)}
+    n = sum(map(len, spikes.values()))
+    path = tmp_path / "spikes.csv"
+    tracemalloc.start()
+    try:
+        harness._write_csv(path, ("time_ms", "neuron_id", "neuron_role"),
+                           harness._spike_chunks(spikes, lambda nid: "detector"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The sort holds a time and two indices per spike and the write a block
+    # of lines; a tuple and a line per spike would take over twice this.
+    assert path.stat().st_size > 25 * n
+    assert peak < 32 * n + 1_000_000
 
 
 def test_cli_run_and_compare(tmp_path):

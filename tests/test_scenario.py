@@ -296,6 +296,12 @@ def test_scenario_invariants_checked_on_construction():
     # sensing or emission.
     with pytest.raises(ValidationError, match=r"sensors\[0\] must be a SensorSpec"):
         Scenario(sensors=("a", "b", "c"))
+    for sensors in (None, 5):
+        with pytest.raises(ValidationError, match="sensors must be a list"):
+            Scenario(sensors=sensors)
+    listed = Scenario(sensors=list(default_fan_config(6)))
+    assert listed.sensors == default_fan_config(6)
+    assert parse_scenario(emit_scenario(listed)) == listed
     with pytest.raises(ValidationError, match="trajectory must be"):
         Scenario(trajectory="x")
     with pytest.raises(ValidationError, match="unknown encoding 'fast'"):

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ctd import world
 from ctd.world import (Approach, Encoding, Pose, Recede, SensorSpec, SpikeTrain,
                        Tangent, Waypoints, default_fan_config, encode_spikes,
                        mirror_sensors, mirror_trajectory, sense_scenario,
@@ -368,6 +369,56 @@ def test_encode_spikes_matches_reference_on_clamped_and_silent_runs(case, mode, 
     want = reference_sensing.encode_spikes(lambda t: rates[int(t / dt + 1e-9)],
                                            len(rates) * dt, dt, mode, seed)
     assert encode_spikes(rates, dt, mode, seed).times == want.times
+
+
+# Levels whose phase lands exactly on integers at dt 1 (125, 250 and 500 Hz),
+# subnormal ones (5e-324 Hz adds a zero term), and levels past 1000/dt, which
+# owe catch-up spikes.
+_PHASE_LEVELS = (0.0, 125.0, 250.0, 500.0, 5e-324, 1e-310, 2.2250738585072014e-308)
+
+
+@st.composite
+def _phase_runs(draw):
+    dt = draw(st.sampled_from([1.0, 1.0, 0.1, 0.5, 2.0]))
+    full = 1000.0 / dt
+    level = st.one_of(st.sampled_from(_PHASE_LEVELS), st.floats(0.0, 3.0 * full))
+    shape = draw(st.sampled_from(["constant", "ramp", "runs"]))
+    if shape == "constant":
+        body = np.full(draw(st.integers(1, 20_000)), draw(level))
+    elif shape == "ramp":
+        body = np.linspace(draw(level), draw(level), draw(st.integers(1, 20_000)))
+    else:
+        body = np.repeat(draw(st.lists(level, min_size=1, max_size=8)),
+                         draw(st.integers(1, 2_500)))
+    lead, trail = (np.zeros(draw(st.integers(0, 300))) for _ in range(2))
+    return dt, np.concatenate([lead, body, trail]).tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_phase_runs())
+@example(case=(1.0, [125.0] * 2000))
+@example(case=(1.0, [0.0] * 7 + [250.0] * 2000 + [0.0] * 5))
+@example(case=(1.0, [500.0] * 20_000))
+def test_encode_spikes_matches_the_compensated_reference(case):
+    dt, rates = case
+    want = reference_sensing.encode_spikes(lambda t: rates[int(t / dt + 1e-9)],
+                                           len(rates) * dt, dt)
+    assert encode_spikes(rates, dt).times == want.times
+
+
+def test_only_trains_the_certificate_turns_away_take_the_compensated_loop(monkeypatch):
+    calls = []
+    loop = world._encode_compensated
+    monkeypatch.setattr(world, "_encode_compensated",
+                        lambda *args: calls.append(args) or loop(*args))
+    # 0.125 a step: the phase lands exactly on every integer it passes.
+    assert len(encode_spikes([125.0] * 1000, 1.0)) == 125
+    assert len(calls) == 1
+    # A rising rate crosses each integer between steps.
+    ramp = np.linspace(0.0, 173.3, 5000)
+    assert encode_spikes(ramp, 1.0).times == reference_sensing.encode_spikes(
+        lambda t: ramp[int(t + 1e-9)], 5000.0, 1.0).times
+    assert len(calls) == 1
 
 
 _POISSON_RUN = """
