@@ -7,7 +7,6 @@ import json
 import re
 from dataclasses import dataclass
 from itertools import chain
-from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -244,11 +243,10 @@ def _write_csv(path: Path, header: Sequence[str], chunks: Iterable[bytes]) -> Pa
     each written as its repr by `_float_text`, that is by orjson and the
     layout translations the block's magnitudes call for, and `_spike_chunks`
     appends the neuron's id and role to each time. The bytes are those of
-    csv's default dialect as long as no
-    field holds a comma, a quote or a line break and every number is a
-    Python float, whose str is its shortest round-trip repr. The trace files
-    hold only such floats and the neuron ids, roles and enum values made by
-    the circuit builders.
+    csv's default dialect as long as no field holds a comma, a quote or a
+    line break and every number is a Python float, whose str is its shortest
+    round-trip repr. The trace files hold only such floats and the neuron
+    ids, roles and enum values made by the circuit builders.
     """
     return _write_file(path, chain(_csv_lines((header,)), chunks))
 
@@ -319,7 +317,7 @@ def _spike_chunks(spikes: Mapping[str, Sequence[float]],
     The times of a chunk are one `_float_text` block; each neuron's
     `,id,role` line ending is made once.
     """
-    trains = sorted(((nid, ts) for nid, ts in spikes.items() if ts), key=itemgetter(0))
+    trains = sorted((nid, ts) for nid, ts in spikes.items() if ts)  # ids are unique
     counts = [len(ts) for _, ts in trains]
     times = np.fromiter(chain.from_iterable(ts for _, ts in trains), np.float64, sum(counts))
     ranks = np.repeat(np.arange(len(trains)), counts)  # the id's place in id order
